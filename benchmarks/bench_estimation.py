@@ -5,9 +5,9 @@ sweeps, autobudget trials, negative-workload checks) estimate the same
 workload against a synopsis over and over.  This bench measures that
 serving pattern on XMark: a classified workload repeated
 ``WORKLOAD_REPEATS`` times against the reference synopsis and against a
-budgeted build, on three paths — the scalar ``XClusterEstimator``
-(reference oracle), the compiled ``WorkloadEstimator`` (single
-process), and ``workers=4`` batched serving.  Parity is checked to
+budgeted build, on two paths — the scalar ``XClusterEstimator``
+(reference oracle) and the compiled ``WorkloadEstimator``.  Parity is
+checked to
 1e-9 per query, cache hit rates are recorded, and the results land in
 ``BENCH_estimation.json`` (same report shape as
 ``BENCH_construction.json``).
@@ -16,7 +16,7 @@ process), and ``workers=4`` batched serving.  Parity is checked to
 from time import perf_counter
 
 import common
-from repro.core.estimation import WorkloadEstimator, estimate_many
+from repro.core.estimation import WorkloadEstimator
 from repro.core.estimator import XClusterEstimator
 from repro.core.sizing import structural_size_bytes
 
@@ -57,7 +57,6 @@ def _stats_record(seconds, stats):
         "selectivity_cache_hit_rate": round(stats.selectivity_cache_hit_rate, 4),
         "max_frontier_nodes": stats.max_frontier_nodes,
         "average_frontier_nodes": round(stats.average_frontier_nodes, 2),
-        "workers_used": stats.workers_used,
     }
 
 
@@ -79,16 +78,8 @@ def _run_compiled(synopsis, queries):
     return perf_counter() - started, estimates, serving.stats
 
 
-def _run_parallel(synopsis, queries, workers):
-    started = perf_counter()
-    estimates = None
-    for _ in range(WORKLOAD_REPEATS):
-        estimates = estimate_many(synopsis, queries, workers=workers)
-    return perf_counter() - started, estimates
-
-
 def test_estimation_engine_speedup(experiment_context):
-    """Scalar vs compiled (vs workers=4) XMark serving → BENCH_estimation.json.
+    """Scalar vs compiled XMark serving → BENCH_estimation.json.
 
     The compiled engine must match the scalar oracle to 1e-9 on every
     query, and at full bench scale must serve the repeated workload at
@@ -105,7 +96,6 @@ def test_estimation_engine_speedup(experiment_context):
     compiled_seconds, compiled_estimates, compiled_stats = _run_compiled(
         reference, queries
     )
-    parallel_seconds, parallel_estimates = _run_parallel(reference, queries, 4)
 
     parity_max = max(
         (
@@ -115,7 +105,6 @@ def test_estimation_engine_speedup(experiment_context):
         default=0.0,
     )
     equivalent = parity_max <= PARITY
-    parallel_matches_serial = parallel_estimates == compiled_estimates
 
     # The budgeted synopsis exercises merged (possibly cyclic) clusters.
     budgeted_scalar_seconds, budgeted_scalar = _run_scalar(budgeted, queries)
@@ -146,7 +135,6 @@ def test_estimation_engine_speedup(experiment_context):
         "workload_repeats": WORKLOAD_REPEATS,
         "scalar": {"seconds": round(scalar_seconds, 4)},
         "compiled": _stats_record(compiled_seconds, compiled_stats),
-        "parallel_workers_4": {"seconds": round(parallel_seconds, 4)},
         "budgeted_scalar": {"seconds": round(budgeted_scalar_seconds, 4)},
         "budgeted_compiled": _stats_record(budgeted_seconds, budgeted_stats),
         "speedup": round(speedup, 3),
@@ -156,13 +144,11 @@ def test_estimation_engine_speedup(experiment_context):
         "parity_max_rel_diff": parity_max,
         "budgeted_parity_max_rel_diff": budgeted_parity,
         "equivalent": equivalent,
-        "parallel_matches_serial": parallel_matches_serial,
     }
     out_path = common.write_report("estimation", report, "BENCH_estimation.json")
     print(
         f"\nBENCH_estimation: scalar {scalar_seconds:.3f}s, "
-        f"compiled {compiled_seconds:.3f}s, workers=4 {parallel_seconds:.3f}s "
-        f"-> speedup {speedup:.2f}x "
+        f"compiled {compiled_seconds:.3f}s -> speedup {speedup:.2f}x "
         f"(reach hit rate {compiled_stats.reach_cache_hit_rate:.2f}, {out_path})"
     )
 
@@ -170,7 +156,6 @@ def test_estimation_engine_speedup(experiment_context):
         f"compiled estimates diverged from the scalar oracle "
         f"(max rel diff {max(parity_max, budgeted_parity):.2e})"
     )
-    assert parallel_matches_serial, "parallel serving diverged from serial"
     assert compiled_stats.reach_cache_hit_rate > 0.5, (
         "repeated workload should be served mostly from the reach cache"
     )

@@ -6,8 +6,8 @@ Subcommands::
         --structural-budget 4096 --value-budget 32768 [--format snapshot]
     python -m repro estimate synopsis.bin "//movie[./year >= 2000]/title"
     python -m repro convert synopsis.json synopsis.bin --format snapshot
-    python -m repro serve (synopsis.bin | --document INPUT.xml) \
-        [--host H] [--port P] [--workers N]
+    python -m repro serve (synopsis.bin | --document INPUT.xml | \
+        --collection ROOT) [--host H] [--port P]
     python -m repro evaluate INPUT.xml "//movie[./year >= 2000]/title" \
         [--engine interval|treewalk]
     python -m repro experiments [--scale 0.25] [--queries 15]
@@ -56,7 +56,7 @@ from repro.core import (
     value_size_bytes,
 )
 from repro.query import evaluate_selectivity, parse_twig
-from repro.xmltree import parse_document
+from repro.xmltree import ingest_file, parse_document
 from repro.xmltree.events import DEFAULT_CHUNK_SIZE
 
 
@@ -69,15 +69,15 @@ def _save_in_format(synopsis, path: str, format_name: str) -> None:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    tree = parse_document(args.input)
+    doc = ingest_file(args.input)
     synopsis = build_xcluster(
-        tree,
+        doc,
         structural_budget=args.structural_budget,
         value_budget=args.value_budget,
     )
     _save_in_format(synopsis, args.output, args.format)
     print(
-        f"{args.input}: {len(tree)} elements -> {len(synopsis)} clusters, "
+        f"{args.input}: {len(doc)} elements -> {len(synopsis)} clusters, "
         f"{structural_size_bytes(synopsis)} structural + "
         f"{value_size_bytes(synopsis)} value bytes "
         f"({total_size_bytes(synopsis)} total) -> {args.output} [{args.format}]"
@@ -118,11 +118,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store = CollectionStore(
             args.collection, max_open_shards=args.max_open_shards
         )
-        engine = CollectionServeEngine(
-            store,
-            window_seconds=args.window_ms / 1000.0,
-            max_batch=args.max_batch,
-        )
+        engine = CollectionServeEngine(store)
         manifest = store.manifest
         print(
             f"collection {args.collection} v{manifest.version}: "
@@ -134,35 +130,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     elif args.document is not None:
         from repro.update import IncrementalMaintainer
-        from repro.xmltree import ingest_file
 
         doc = ingest_file(args.document)
         maintainer = IncrementalMaintainer(doc)
-        engine = ServeEngine(
-            maintainer=maintainer,
-            workers=args.workers,
-            window_seconds=args.window_ms / 1000.0,
-            max_batch=args.max_batch,
-        )
+        engine = ServeEngine(maintainer=maintainer)
         print(
             f"maintaining {args.document}: {len(doc)} elements -> "
             f"{len(engine.synopsis)} clusters, "
             f"{total_size_bytes(engine.synopsis)} synopsis bytes, "
-            f"workers={engine.workers}, updates enabled (POST /update)",
+            "updates enabled (POST /update)",
             flush=True,
         )
     else:
         synopsis = load_synopsis(args.synopsis)  # format auto-detected
-        engine = ServeEngine(
-            synopsis,
-            workers=args.workers,
-            window_seconds=args.window_ms / 1000.0,
-            max_batch=args.max_batch,
-        )
+        engine = ServeEngine(synopsis)
         print(
             f"loaded {args.synopsis}: {len(synopsis)} clusters, "
-            f"{total_size_bytes(synopsis)} synopsis bytes, "
-            f"workers={engine.workers}",
+            f"{total_size_bytes(synopsis)} synopsis bytes",
             flush=True,
         )
     run_server(engine, host=args.host, port=args.port)
@@ -177,9 +161,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    tree = parse_document(args.input)
+    doc = ingest_file(args.input)
     query = parse_twig(args.query)
-    print(evaluate_selectivity(tree, query, engine=args.engine))
+    print(evaluate_selectivity(doc, query, engine=args.engine))
     return 0
 
 
@@ -330,8 +314,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
     from time import perf_counter
-
-    from repro.xmltree import ingest_file
 
     source_bytes = os.path.getsize(args.input)
     started = perf_counter()
@@ -584,24 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="TCP port (default 0: pick a free port and print it)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="processes for large batches (copy-on-write under fork)",
-    )
-    serve.add_argument(
-        "--window-ms",
-        type=float,
-        default=0.0,
-        help="coalescing window in milliseconds (default: next loop tick)",
-    )
-    serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="distinct plans per dispatched batch (default %(default)s)",
     )
     serve.set_defaults(handler=_cmd_serve)
 

@@ -52,7 +52,12 @@ from repro.collection.manifest import (
     load_manifest,
     verify_collection,
 )
-from repro.core.estimation.engine import CompiledEstimator, EstimatorStats
+from repro.core.estimation.engine import (
+    CompiledEstimator,
+    EstimatorStats,
+    cached_plan,
+)
+from repro.core.estimation.plan import CompiledPlan
 from repro.core.serialization import SynopsisFormatError
 from repro.core.snapshot import synopsis_from_snapshot
 from repro.core.synopsis import XClusterSynopsis
@@ -384,11 +389,6 @@ class CollectionStore:
             raise KeyError(f"collection holds no document {doc_id!r}")
         return shard_id, index
 
-    def synopsis_for(self, doc_id: str) -> XClusterSynopsis:
-        """The document's own payload synopsis (decoded lazily)."""
-        shard_id, index = self.payload_of(doc_id)
-        return self.reader(shard_id).synopsis(index)
-
     # -- estimation ---------------------------------------------------------
 
     def _estimator(self, shard_id: int, index: int) -> CompiledEstimator:
@@ -401,8 +401,16 @@ class CollectionStore:
         shard_id, index = self.payload_of(doc_id)
         return self._estimator(shard_id, index).estimate(query)
 
+    def compile(self, query: TwigQuery) -> CompiledPlan:
+        """The plan of ``query`` from the store's shared plan cache."""
+        return cached_plan(query, self.plan_cache, self.stats)
+
     def estimate_collection(self, query: TwigQuery) -> float:
-        """Exact rollup: multiplicity-weighted sum over every payload.
+        """Exact rollup: multiplicity-weighted sum over every payload."""
+        return self.estimate_collection_plan(self.compile(query))
+
+    def estimate_collection_plan(self, plan: CompiledPlan) -> float:
+        """:meth:`estimate_collection` for an already compiled plan.
 
         Payloads are visited in canonical (shard id, payload index)
         order, so the accumulation order — and therefore the float
@@ -413,8 +421,8 @@ class CollectionStore:
         for entry in sorted(self.manifest.shards, key=lambda e: e.shard_id):
             reader = self.reader(entry.shard_id)
             for index, info in enumerate(reader.payloads):
-                estimate = self._estimator(entry.shard_id, index).estimate(
-                    query
+                estimate = self._estimator(entry.shard_id, index).estimate_plan(
+                    plan
                 )
                 total += info.multiplicity * estimate
         return total

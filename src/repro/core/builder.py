@@ -73,9 +73,6 @@ class BuildConfig:
             :mod:`repro.values.kernels`, default) or ``"reference"``
             (the scalar oracles re-run from scratch per step; same
             decisions bit-for-bit, kept for parity and benchmarking).
-        workers: processes for parallel pool construction; 1 (default)
-            keeps pool builds serial.  Only the vectorized engine fans
-            out; scalar scoring ignores this knob.
         audit: run the :mod:`repro.check` invariant auditor on the
             compressed synopsis; violations land in
             :attr:`BuildStats.audit_violations`.  Off by default (it
@@ -94,7 +91,6 @@ class BuildConfig:
     text_step: int = 4
     scoring: str = "vectorized"
     value_engine: str = "kernel"
-    workers: int = 1
     audit: bool = False
     summary: SummaryConfig = field(default_factory=SummaryConfig)
 
@@ -135,8 +131,6 @@ class BuildStats:
     #: Candidate-pool capacity trims and candidates evicted by them.
     pool_trims: int = 0
     candidates_trimmed: int = 0
-    #: Processes used for pool construction (1 = serial).
-    workers_used: int = 1
     #: Phase-2 compression engine actually used ("kernel"/"reference").
     value_engine_used: str = "kernel"
     #: Phase-2 wall-clock split: seconds inside compression advances,
@@ -228,7 +222,6 @@ class XClusterBuilder:
         Returns the same synopsis object for convenience.
         """
         self.stats = BuildStats(reference_nodes=len(synopsis))
-        self.stats.workers_used = max(1, self.config.workers)
         self.stats.value_engine_used = self.config.value_engine
         self._cache = {}
         self._engine = (
@@ -291,7 +284,6 @@ class XClusterBuilder:
             config.neighbors,
             self._cache,
             engine=self._engine,
-            workers=config.workers if self._engine is not None else 1,
         )
         self.stats.pool_build_seconds += perf_counter() - started
         self.stats.pool_rebuilds += 1

@@ -15,9 +15,8 @@ is served from tables:
   the :class:`EstimatorStats` observability layer (compile/execute
   timers, cache hit rates, frontier telemetry);
 * :mod:`repro.core.estimation.serving` — :func:`estimate_many` and
-  :class:`WorkloadEstimator`: batched serving over a fork-based process
-  pool with per-worker warm caches, and compile-once retargeting across
-  synopses.
+  :class:`WorkloadEstimator`: batched in-process serving with warm
+  caches, and compile-once retargeting across synopses.
 
 The compiled path is a bit-exact replay of the scalar sum-product (the
 scalar estimator stays as the reference oracle; parity is pinned at
@@ -43,7 +42,6 @@ from repro.core.estimation.plan import (
     edge_key_of,
 )
 from repro.core.estimation.serving import (
-    MIN_PARALLEL_QUERIES,
     WorkloadEstimator,
     estimate_many,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "CompiledPlan",
     "EstimatorStats",
     "EdgeKey",
-    "MIN_PARALLEL_QUERIES",
     "PlanCache",
     "PlanSignature",
     "PlanVariable",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.estimation.indexes import (
     EdgeKey,
@@ -75,8 +75,6 @@ class EstimatorStats:
     max_frontier_nodes: int = 0
     #: Times the synopsis index detected a mutation and dropped tables.
     index_invalidations: int = 0
-    #: Processes used by the last batched call (1 = in-process serial).
-    workers_used: int = 1
 
     @property
     def plan_cache_hit_rate(self) -> float:
@@ -102,6 +100,24 @@ class EstimatorStats:
         if not self.frontiers_expanded:
             return 0.0
         return self.frontier_nodes_total / self.frontiers_expanded
+
+
+def cached_plan(
+    query: TwigQuery, plan_cache: PlanCache, stats: EstimatorStats
+) -> CompiledPlan:
+    """Compile ``query`` and return the cached plan of its signature,
+    recording the hit or miss and the compile time in ``stats``."""
+    started = perf_counter()
+    plan = compile_query(query)
+    cached = plan_cache.get(plan.signature)
+    if cached is not None:
+        stats.plan_cache_hits += 1
+        plan = cached
+    else:
+        plan_cache[plan.signature] = plan
+        stats.plans_compiled += 1
+    stats.plan_compile_seconds += perf_counter() - started
+    return plan
 
 
 class CompiledEstimator:
@@ -139,17 +155,7 @@ class CompiledEstimator:
 
     def compile(self, query: TwigQuery) -> CompiledPlan:
         """The (cross-query cached) compiled plan of ``query``."""
-        started = perf_counter()
-        plan = compile_query(query)
-        cached = self.plan_cache.get(plan.signature)
-        if cached is not None:
-            self.stats.plan_cache_hits += 1
-            plan = cached
-        else:
-            self.plan_cache[plan.signature] = plan
-            self.stats.plans_compiled += 1
-        self.stats.plan_compile_seconds += perf_counter() - started
-        return plan
+        return cached_plan(query, self.plan_cache, self.stats)
 
     # -- execution ---------------------------------------------------------
 

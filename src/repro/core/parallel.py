@@ -1,18 +1,16 @@
-"""Process-pool start-method selection for the parallel paths.
+"""Process-pool start-method selection for the collection build.
 
-The candidate-scoring pool (:func:`repro.core.scoring.
-score_pairs_parallel`) and the batched estimation pool
-(:func:`repro.core.estimation.serving.estimate_many`) both prefer the
-``fork`` start method: the synopsis is inherited by the children
-through copy-on-write and never pickled.  Platforms without ``fork``
-(Windows, macOS spawn-default builds, sandboxes that disable it) fall
-back to ``spawn``, where the pool initargs are pickled into each worker
-instead — a slower start, but the same results.  When neither start
-method is available the callers run serially.
+:func:`repro.collection.build.build_collection` builds its distinct
+document structures on a process pool when asked for more than one
+worker.  The pool prefers the
+``fork`` start method; platforms without ``fork`` (Windows, macOS
+spawn-default builds, sandboxes that disable it) fall back to
+``spawn``, where the task arguments are pickled into each worker
+instead — a slower start, but the same payload bytes.  When neither
+start method is available the build runs serially.
 
-Both pools route their context selection through :func:`pool_context`
-so the fallback order lives in one place and tests can force a specific
-path by monkeypatching :data:`START_METHODS`.
+The fallback order lives in :func:`pool_context`, and tests force a
+specific path by monkeypatching :data:`START_METHODS`.
 """
 
 from __future__ import annotations

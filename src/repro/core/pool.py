@@ -18,11 +18,7 @@ were merged sort together).  Small groups still enumerate all pairs.
 Scoring goes through the vectorized :class:`~repro.core.scoring
 .ScoringEngine` when one is supplied (the builder's default); without an
 engine the pool falls back to the scalar Δ implementation, which is the
-pre-optimization reference path.  ``build_pool`` can additionally fan
-candidate scoring out over a ``multiprocessing`` pool (``workers > 1``);
-scoring is a pure function of the synopsis and candidate ordering is
-total (marginal loss, then node ids), so the parallel path keeps exactly
-the serial candidate set and pop order.
+pre-optimization reference path.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.distance import SelectivityCache, merge_delta
-from repro.core.scoring import ScoringEngine, score_pairs_parallel
+from repro.core.scoring import ScoringEngine
 from repro.core.sizing import merge_size_saving
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
 from repro.values.summary import (
@@ -57,8 +53,7 @@ class MergeCandidate:
 
     Ordering is total — marginal loss with the node-id pair as a tie
     breaker — so heap pops and capacity trims are deterministic
-    regardless of insertion order (serial and parallel pool builds pop
-    identically).
+    regardless of insertion order.
     """
 
     marginal_loss: float
@@ -212,7 +207,7 @@ class CandidatePool:
     def add_scored(
         self, u_id: int, v_id: int, delta: float, size_saving: int
     ) -> None:
-        """Enqueue an externally scored candidate (parallel pool build)."""
+        """Enqueue an already scored candidate."""
         heapq.heappush(
             self._heap,
             MergeCandidate(
@@ -296,19 +291,12 @@ def build_pool(
     neighbors: int = 8,
     cache: Optional[SelectivityCache] = None,
     engine: Optional[ScoringEngine] = None,
-    workers: int = 1,
 ) -> CandidatePool:
     """Assemble the candidate pool for the current level bound.
 
     Mirrors the paper's ``build_pool(S, Hm, l)``: consider merges among
     merge-compatible nodes whose level is at most ``level_limit``, keep
     the best ``max_size`` by marginal loss.
-
-    With ``workers > 1`` (and an engine), candidate scoring fans out
-    over a process pool; the scored candidates merge back into the same
-    heap and the final strict capacity trim keeps exactly the serial
-    result.  When a process pool is unavailable the build silently runs
-    serially.
     """
     pool = CandidatePool(
         synopsis, max_size, predicate_limit, cache, engine=engine
@@ -322,23 +310,7 @@ def build_pool(
         groups.setdefault(node.merge_key(), []).append(node)
 
     label_memo: Dict[int, Tuple[str, ...]] = {}
-    scored = None
-    if workers > 1 and engine is not None:
-        pairs = [
-            pair
-            for members in groups.values()
-            for pair in candidate_pairs(synopsis, members, neighbors, label_memo)
-        ]
-        scored = score_pairs_parallel(
-            synopsis, pairs, predicate_limit, workers
-        )
-        if scored is not None:
-            pool.scoring_calls += len(scored)
-            for u_id, v_id, delta, saving in scored:
-                pool.add_scored(u_id, v_id, delta, saving)
-            pool.enforce_capacity()
-    if scored is None:
-        for members in groups.values():
-            pool.extend(candidate_pairs(synopsis, members, neighbors, label_memo))
+    for members in groups.values():
+        pool.extend(candidate_pairs(synopsis, members, neighbors, label_memo))
     pool.enforce_capacity(strict=True)
     return pool

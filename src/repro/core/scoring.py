@@ -25,10 +25,6 @@ This module makes candidate scoring incremental and batched:
   :class:`~repro.core.pool.CandidatePool`) and share the existing
   ``SelectivityCache`` with the scalar path, so selectivities computed
   in one rebuild are reused by the next.
-* :func:`score_pairs_parallel` fans chunks of candidate pairs out over a
-  ``multiprocessing`` pool for opt-in parallel pool construction
-  (``BuildConfig.workers``); scoring is a pure function of the synopsis,
-  so worker results are bit-identical to serial vectorized scoring.
 
 The engine is numerically equivalent to the scalar implementation (the
 summation over predicates runs in the same order; only the inner child
@@ -39,18 +35,13 @@ pin down.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.distance import SelectivityCache
-from repro.core.parallel import pool_context
-from repro.core.sizing import merge_size_saving
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
 from repro.query.predicates import Predicate, TruePredicate
 
 _TRUE = TruePredicate()
-
-#: Below this many pairs the pool-start/IPC overhead exceeds the scoring work.
-MIN_PARALLEL_PAIRS = 256
 
 
 class SelectivityProfile:
@@ -336,67 +327,3 @@ class ScoringEngine:
             accumulated += difference * difference
         return node.count * squared_counts * accumulated
 
-
-# -- parallel pool construction -------------------------------------------------
-
-#: Per-worker state set by the pool initializer (inherited through the
-#: fork, or pickled as initargs under spawn — see repro.core.parallel).
-_WORKER_ENGINE: Optional[ScoringEngine] = None
-
-
-def _init_scoring_worker(synopsis: XClusterSynopsis, predicate_limit: int) -> None:
-    global _WORKER_ENGINE
-    _WORKER_ENGINE = ScoringEngine(synopsis, predicate_limit)
-
-
-def _score_chunk(
-    pairs: Sequence[Tuple[int, int]]
-) -> List[Tuple[int, int, float, int]]:
-    """Score one chunk of candidate pairs inside a worker process."""
-    engine = _WORKER_ENGINE
-    synopsis = engine.synopsis
-    nodes = synopsis.nodes
-    scored: List[Tuple[int, int, float, int]] = []
-    for u_id, v_id in pairs:
-        u = nodes.get(u_id)
-        v = nodes.get(v_id)
-        if u is None or v is None or u.merge_key() != v.merge_key():
-            continue
-        delta = engine.merge_delta(u, v)
-        saving = max(1, merge_size_saving(synopsis, u_id, v_id))
-        scored.append((u_id, v_id, delta, saving))
-    return scored
-
-
-def score_pairs_parallel(
-    synopsis: XClusterSynopsis,
-    pairs: Sequence[Tuple[int, int]],
-    predicate_limit: int,
-    workers: int,
-) -> Optional[List[Tuple[int, int, float, int]]]:
-    """Score candidate pairs on ``workers`` processes.
-
-    Returns ``(u_id, v_id, delta, size_saving)`` tuples, or ``None``
-    when parallel execution is unavailable or not worthwhile (too few
-    pairs, no usable pool start method, or a sandbox that refuses
-    process pools) — callers fall back to the serial path.  Scoring is a pure
-    function of the synopsis, so the result set is identical to serial
-    vectorized scoring regardless of chunking.
-    """
-    if workers <= 1 or len(pairs) < MIN_PARALLEL_PAIRS:
-        return None
-    context = pool_context()
-    if context is None:
-        return None
-    chunk_count = min(len(pairs), workers * 4)
-    chunks = [list(pairs[offset::chunk_count]) for offset in range(chunk_count)]
-    try:
-        with context.Pool(
-            processes=workers,
-            initializer=_init_scoring_worker,
-            initargs=(synopsis, predicate_limit),
-        ) as pool:
-            chunk_results = pool.map(_score_chunk, chunks)
-    except (OSError, PermissionError, RuntimeError):
-        return None
-    return [scored for chunk in chunk_results for scored in chunk]

@@ -17,7 +17,7 @@ forward edges.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.values.summary import ValueSummary, fuse_summaries
 from repro.xmltree.types import ValueType
@@ -103,8 +103,7 @@ class SynopsisNode:
 
     def __getstate__(self):
         # Decode thunks close over load-time buffers and are not
-        # picklable; materialize before crossing a process boundary
-        # (the spawn-pool fallback pickles the synopsis into workers).
+        # picklable; materialize before a pickle or a deep copy.
         return (
             self.node_id,
             self.label,
@@ -222,10 +221,6 @@ class XClusterSynopsis:
     def children_of(self, node: SynopsisNode) -> List[SynopsisNode]:
         """The nodes this node has edges to."""
         return [self.nodes[child_id] for child_id in node.children]
-
-    def parents_of(self, node: SynopsisNode) -> List[SynopsisNode]:
-        """The nodes with edges into this node."""
-        return [self.nodes[parent_id] for parent_id in node.parents]
 
     def nodes_by_label(self, label: str) -> List[SynopsisNode]:
         """All clusters carrying the given tag."""

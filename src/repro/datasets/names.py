@@ -8,7 +8,7 @@ substrings ("The", "Star", "son", ...) with non-trivial selectivities.
 from __future__ import annotations
 
 import random
-from typing import List, Sequence
+from typing import Sequence
 
 _COMMON_FIRST: Sequence[str] = (
     "James", "Mary", "Robert", "Patricia", "John", "Jennifer", "Michael",
@@ -62,14 +62,6 @@ def _synthetic_names(count: int, offset: int) -> tuple:
 FIRST_NAMES: Sequence[str] = _COMMON_FIRST + _synthetic_names(220, 0)
 LAST_NAMES: Sequence[str] = _COMMON_LAST + _synthetic_names(800, 7)
 
-TITLE_WORDS: Sequence[str] = (
-    "The", "Star", "Dark", "Night", "Return", "Lost", "City", "Dream",
-    "Last", "First", "Golden", "Silver", "Shadow", "Light", "Storm",
-    "River", "Mountain", "Ocean", "Fire", "Ice", "Crown", "Empire",
-    "Secret", "Hidden", "Broken", "Silent", "Crimson", "Winter",
-    "Summer", "Midnight", "Eternal", "Forgotten", "Rising", "Falling",
-)
-
 GENRES: Sequence[str] = (
     "Action", "Comedy", "Drama", "Horror", "Romance", "Thriller",
     "Documentary", "Animation", "Fantasy", "ScienceFiction", "Western",
@@ -102,17 +94,6 @@ ITEM_NOUNS: Sequence[str] = (
 def person_name(rng: random.Random) -> str:
     """A ``First Last`` person name."""
     return f"{rng.choice(FIRST_NAMES)} {rng.choice(LAST_NAMES)}"
-
-
-def movie_title(rng: random.Random) -> str:
-    """A 2-4 word title built from the shared title-word pool."""
-    words: List[str] = ["The"] if rng.random() < 0.35 else []
-    word_count = rng.randint(2, 4) - len(words)
-    while len(words) < word_count + (1 if words else 0):
-        word = rng.choice(TITLE_WORDS)
-        if not words or words[-1] != word:
-            words.append(word)
-    return " ".join(words)
 
 
 def item_name(rng: random.Random) -> str:

@@ -16,8 +16,7 @@ This package makes that literal:
   counters.
 
 Snapshots (:mod:`repro.core.snapshot`) are the intended cold-start
-path: load is mmap-backed and lazy, and under the ``fork`` pool start
-method workers share the loaded pages copy-on-write.
+path: load is mmap-backed and lazy.
 """
 
 from repro.serve.collection import CollectionServeEngine

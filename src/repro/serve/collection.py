@@ -1,8 +1,9 @@
 """Collection-backed serving engine (``repro serve --collection``).
 
 Implements the same engine surface :mod:`repro.serve.http` dispatches
-against — ``parse_request_query`` / ``estimate`` / ``estimate_batch`` /
-``stats_snapshot`` / a :class:`~repro.serve.engine.PlanCoalescer` — but
+against — ``parse_request_query`` / ``compile`` / ``estimate_plans`` /
+``estimate`` / ``estimate_batch`` / ``stats_snapshot`` / a
+:class:`~repro.serve.engine.PlanCoalescer` — but
 backed by a :class:`~repro.collection.store.CollectionStore` instead of
 one loaded synopsis:
 
@@ -29,14 +30,9 @@ from time import perf_counter
 from typing import Any, Dict, List
 
 from repro.collection.store import CollectionStore
+from repro.core.estimation.plan import CompiledPlan
 from repro.query.ast import TwigQuery
-from repro.serve.engine import (
-    DEFAULT_MAX_BATCH,
-    DEFAULT_WINDOW_SECONDS,
-    PlanCoalescer,
-    ServeEngine,
-    ServingStats,
-)
+from repro.serve.engine import PlanCoalescer, ServeEngine, ServingStats
 
 
 class _ReadOnlyVersion:
@@ -51,22 +47,19 @@ class _ReadOnlyVersion:
 class CollectionServeEngine:
     """Serve ``/estimate`` traffic for a whole collection directory."""
 
-    def __init__(
-        self,
-        store: CollectionStore,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        max_batch: int = DEFAULT_MAX_BATCH,
-    ) -> None:
+    def __init__(self, store: CollectionStore) -> None:
         self.store = store
         self.synopsis = _ReadOnlyVersion(store.manifest.version)
         self.stats = ServingStats(store.stats)
-        self.coalescer = PlanCoalescer(
-            self, window_seconds=window_seconds, max_batch=max_batch
-        )
+        self.coalescer = PlanCoalescer(self)
 
-    # The request-body grammar is identical to single-synopsis serving
-    # (and the method reads no engine state), so share the one parser.
+    # The request-body grammar, the coalesced request path and the
+    # ``/batch`` path are identical to single-synopsis serving (they
+    # read only ``stats``, ``coalescer``, ``compile`` and
+    # ``estimate_plans``), so share the one implementation.
     parse_request_query = ServeEngine.parse_request_query
+    estimate = ServeEngine.estimate
+    estimate_batch = ServeEngine.estimate_batch
 
     def apply_updates(self, ops: List[Any]) -> List[Dict[str, Any]]:
         """Reject updates: collection stores are served read-only."""
@@ -75,20 +68,13 @@ class CollectionServeEngine:
             "directory with `repro collection` instead of POST /update"
         )
 
-    def estimate_batch(self, queries: List[TwigQuery]) -> List[float]:
-        """Collection-wide exact sums for one coalesced batch."""
-        return [self.store.estimate_collection(query) for query in queries]
+    def compile(self, query: TwigQuery) -> CompiledPlan:
+        """The plan of ``query`` from the store's shared plan cache."""
+        return self.store.compile(query)
 
-    async def estimate(self, query: TwigQuery) -> float:
-        """One collection-wide request through the coalescer."""
-        started = perf_counter()
-        try:
-            value = await self.coalescer.submit(query)
-        except Exception:
-            self.stats.errors += 1
-            raise
-        self.stats.observe_latency(perf_counter() - started)
-        return value
+    def estimate_plans(self, plans: List[CompiledPlan]) -> List[float]:
+        """Collection-wide exact sums for compiled plans, in order."""
+        return [self.store.estimate_collection_plan(plan) for plan in plans]
 
     async def estimate_doc(self, doc_id: str, query: TwigQuery) -> float:
         """One document-routed request (raises ``KeyError`` if unknown)."""

@@ -9,15 +9,13 @@ Three pieces compose the daemon's hot path:
   predicates, which is what makes cross-user sharing sound: two users
   asking structurally identical twigs *with identical predicates* get
   byte-identical plans — and identical estimates.
-* :class:`PlanCoalescer` — request coalescing.  In-flight requests are
-  keyed by plan signature inside a short dispatch window; structurally
-  identical plans collapse onto one representative execution and the
-  whole window flushes as a single
-  :func:`~repro.core.estimation.serving.estimate_many` batch (which
-  shards over the copy-on-write fork pool once batches are large
-  enough to amortize it).  Under a repetition-heavy user mix — the
-  redbench-style banded workload — most of a window is duplicates, so
-  the executed batch is far smaller than the arrival batch.
+* :class:`PlanCoalescer` — request coalescing.  Each request's twig is
+  compiled once, through the engine's shared plan cache, and keyed by
+  plan signature until the next event-loop tick; structurally identical
+  plans collapse onto one representative execution and the tick's
+  plans execute as one batch.  Under a repetition-heavy user mix — the
+  redbench-style banded workload — most of a tick is duplicates, so the
+  executed batch is far smaller than the arrival batch.
 * :class:`ServingStats` — latency/throughput observability riding on
   the estimator counters: a bounded reservoir of per-request latencies
   (p50/p99), batch occupancy, coalescing rate, and the cross-user plan
@@ -32,25 +30,15 @@ from collections import deque
 from time import perf_counter
 from typing import Any, Deque, Dict, List, Optional
 
-from repro.core.estimation import WorkloadEstimator, estimate_many
+from repro.core.estimation import WorkloadEstimator
 from repro.core.estimation.engine import CompiledEstimator, EstimatorStats
-from repro.core.estimation.plan import PlanSignature, compile_query
+from repro.core.estimation.plan import CompiledPlan, PlanSignature
 from repro.core.synopsis import XClusterSynopsis
 from repro.query.ast import TwigQuery
 from repro.query.jsonast import QueryFormatError, twig_from_dict
 from repro.query.xpath import XPathSyntaxError, parse_twig
 from repro.update.maintainer import IncrementalMaintainer
 from repro.update.ops import UpdateOp
-
-#: Default coalescing window.  Zero means "flush on the next event-loop
-#: iteration": every request whose bytes were readable in the same loop
-#: tick — i.e. genuinely concurrent arrivals across connections — lands
-#: in one batch, while a lone sequential client pays no added latency.
-#: Raise it to trade tail latency for bigger batches.
-DEFAULT_WINDOW_SECONDS = 0.0
-
-#: Default cap on distinct plans per dispatched batch.
-DEFAULT_MAX_BATCH = 64
 
 #: Latency reservoir size: enough for stable p99 at serving rates
 #: without unbounded growth on a long-lived daemon.
@@ -74,7 +62,7 @@ class ServingStats:
         self.requests_total = 0
         #: Requests absorbed by an already in-flight identical plan.
         self.coalesced_requests = 0
-        #: Dispatches to ``estimate_many`` and what they carried.
+        #: Dispatched batches and what they carried.
         self.batches_dispatched = 0
         self.batched_requests_total = 0
         self.batched_plans_total = 0
@@ -152,7 +140,6 @@ class ServingStats:
                 "plan_cache_hit_rate": estimator.plan_cache_hit_rate,
                 "reach_cache_hit_rate": estimator.reach_cache_hit_rate,
                 "selectivity_cache_hit_rate": estimator.selectivity_cache_hit_rate,
-                "workers_used": estimator.workers_used,
             },
         }
 
@@ -169,10 +156,7 @@ class ServeEngine:
     def __init__(
         self,
         synopsis: Optional[XClusterSynopsis] = None,
-        workers: int = 1,
         max_path_length: int = 40,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        max_batch: int = DEFAULT_MAX_BATCH,
         maintainer: Optional[IncrementalMaintainer] = None,
     ) -> None:
         if (synopsis is None) == (maintainer is None):
@@ -185,13 +169,10 @@ class ServeEngine:
         # (and every derived cache, through the version protocol) stays
         # valid across ``/update`` batches.
         self.synopsis = synopsis if maintainer is None else maintainer.synopsis
-        self.workers = max(1, workers)
         self.max_path_length = max_path_length
         self.workload = WorkloadEstimator([], max_path_length)
         self.stats = ServingStats(self.workload.stats)
-        self.coalescer = PlanCoalescer(
-            self, window_seconds=window_seconds, max_batch=max_batch
-        )
+        self.coalescer = PlanCoalescer(self)
 
     @property
     def estimator(self) -> CompiledEstimator:
@@ -238,20 +219,19 @@ class ServeEngine:
             return parse_twig(text)
         return twig_from_dict(ast)
 
-    def estimate_batch(self, queries: List[TwigQuery]) -> List[float]:
-        """Synchronously estimate a batch through the shared state.
+    def compile(self, query: TwigQuery) -> CompiledPlan:
+        """The plan of ``query`` from the shared cross-user plan cache."""
+        return self.estimator.compile(query)
 
-        Large batches shard over the process pool (fork children share
-        the loaded snapshot pages copy-on-write); small ones execute
-        in-process against the shared caches.
-        """
-        return estimate_many(
-            self.synopsis,
-            queries,
-            workers=self.workers,
-            max_path_length=self.max_path_length,
-            estimator=self.estimator,
-        )
+    def estimate_plans(self, plans: List[CompiledPlan]) -> List[float]:
+        """Execute compiled plans against the loaded synopsis, in order."""
+        estimator = self.estimator
+        return [estimator.estimate_plan(plan) for plan in plans]
+
+    def estimate_batch(self, queries: List[TwigQuery]) -> List[float]:
+        """Synchronously estimate a batch (``/batch``): compile each
+        query through the shared plan cache, then execute the plans."""
+        return self.estimate_plans([self.compile(query) for query in queries])
 
     async def estimate(self, query: TwigQuery) -> float:
         """Estimate one request through the coalescer, recording latency."""
@@ -278,61 +258,49 @@ class ServeEngine:
 class _PendingPlan:
     """One distinct in-flight plan and every request waiting on it."""
 
-    __slots__ = ("query", "futures")
+    __slots__ = ("plan", "futures")
 
-    def __init__(self, query: TwigQuery) -> None:
-        self.query = query
+    def __init__(self, plan: CompiledPlan) -> None:
+        self.plan = plan
         self.futures: List["asyncio.Future[float]"] = []
 
 
 class PlanCoalescer:
     """Coalesce structurally identical in-flight plans into one batch.
 
-    Requests submitted inside one dispatch window are grouped by plan
-    signature; each signature is estimated once and its result fans out
-    to every waiting future.  The window flushes after
-    ``window_seconds`` or as soon as ``max_batch`` distinct plans are
-    pending, whichever comes first.  All state is touched only from the
-    event loop, so no locking is needed.
+    Requests submitted before the next event-loop tick are grouped by
+    plan signature; each signature is executed once and its result fans
+    out to every waiting future.  Every request whose bytes were
+    readable in the same tick — genuinely concurrent arrivals across
+    connections — lands in one batch, while a lone sequential client
+    pays no added latency.  All state is touched only from the event
+    loop, so no locking is needed.
     """
 
-    def __init__(
-        self,
-        engine: ServeEngine,
-        window_seconds: float = DEFAULT_WINDOW_SECONDS,
-        max_batch: int = DEFAULT_MAX_BATCH,
-    ) -> None:
+    def __init__(self, engine) -> None:
         self._engine = engine
-        self._window = window_seconds
-        self._max_batch = max_batch
         self._pending: Dict[PlanSignature, _PendingPlan] = {}
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
-
-    @property
-    def pending_plans(self) -> int:
-        return len(self._pending)
+        self._flush_handle: Optional[asyncio.Handle] = None
 
     async def submit(self, query: TwigQuery) -> float:
         """Enqueue ``query``, coalescing with signature-identical in-flight
         plans, and await its estimate from the next dispatched batch."""
         loop = asyncio.get_running_loop()
-        signature = compile_query(query).signature
+        plan = self._engine.compile(query)
         future: "asyncio.Future[float]" = loop.create_future()
-        pending = self._pending.get(signature)
+        pending = self._pending.get(plan.signature)
         if pending is None:
-            pending = _PendingPlan(query)
-            self._pending[signature] = pending
+            pending = _PendingPlan(plan)
+            self._pending[plan.signature] = pending
         else:
             self._engine.stats.coalesced_requests += 1
         pending.futures.append(future)
-        if len(self._pending) >= self._max_batch:
-            self.flush()
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self._window, self.flush)
+        if self._flush_handle is None:
+            self._flush_handle = loop.call_soon(self.flush)
         return await future
 
     def flush(self) -> None:
-        """Dispatch everything pending as one ``estimate_many`` batch."""
+        """Execute every pending plan as one batch and resolve its waiters."""
         if self._flush_handle is not None:
             self._flush_handle.cancel()
             self._flush_handle = None
@@ -343,9 +311,7 @@ class PlanCoalescer:
         plans = list(pending.values())
         requests = sum(len(plan.futures) for plan in plans)
         try:
-            estimates = self._engine.estimate_batch(
-                [plan.query for plan in plans]
-            )
+            estimates = self._engine.estimate_plans([plan.plan for plan in plans])
         except Exception as err:  # pragma: no cover - estimator is total
             for plan in plans:
                 for future in plan.futures:

@@ -13,8 +13,9 @@ another service) can talk to the daemon without a client library:
   through the plan coalescer, so concurrent identical plans cost one
   execution.
 * ``POST /batch`` — body ``{"queries": [<request body>, ...]}``;
-  response ``{"estimates": [...]}``.  Large batches shard over the
-  copy-on-write worker pool.
+  response ``{"estimates": [...]}``.  Each query compiles through the
+  shared plan cache and the plans execute the way a coalesced batch
+  does.
 * ``POST /update`` — body ``{"updates": [<update dict>, ...]}``
   (:func:`repro.update.ops.update_from_dict`); response
   ``{"applied": N, "version": V, "elements": E}``.  Only available
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.serve.engine import ServeEngine
 from repro.update.ops import UpdateFormatError, update_from_dict

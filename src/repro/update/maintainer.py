@@ -454,10 +454,6 @@ class IncrementalMaintainer:
             "version": self.synopsis.version,
         }
 
-    def apply_all(self, ops: Sequence[UpdateOp]) -> List[Dict[str, Any]]:
-        """Apply a batch of updates in order; per-op result dicts."""
-        return [self.apply(op) for op in ops]
-
 
 __all__ = [
     "DEFAULT_CACHE_ENTRIES",

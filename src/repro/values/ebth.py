@@ -23,7 +23,7 @@ indexed terms into the uniform bucket, re-averaging its frequency.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional
 
 from repro.values.rle import RunLengthBitmap
 from repro.values.termvector import TermCentroid, Vocabulary
@@ -95,8 +95,15 @@ class EndBiasedTermHistogram:
             exact_terms: how many top frequencies to retain exactly;
                 ``None`` retains all (the detailed reference form).
         """
+        # Terms are interned in sorted order: the weights dict follows
+        # frozenset iteration, i.e. string hashing, and term ids break
+        # the frequency ties below, so any other order would make the
+        # synopsis depend on PYTHONHASHSEED.
         ids_and_weights = sorted(
-            ((vocabulary.intern(term), weight) for term, weight in centroid.weights.items()),
+            (
+                (vocabulary.intern(term), weight)
+                for term, weight in sorted(centroid.weights.items())
+            ),
             key=lambda item: (-item[1], item[0]),
         )
         if exact_terms is None:
@@ -147,10 +154,6 @@ class EndBiasedTermHistogram:
     @property
     def exact_term_count(self) -> int:
         return len(self.exact)
-
-    @property
-    def nonzero_term_count(self) -> int:
-        return len(self.bitmap)
 
     def indexed_term_ids(self) -> List[int]:
         """Ids of exactly-indexed terms, lowest frequency first."""

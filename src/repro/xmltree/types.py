@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import FrozenSet, Optional, Union
+from typing import FrozenSet, Union
 
 #: A TEXT value is a set of terms (the Boolean-vector IR model of the
 #: paper: entry ``t`` is 1 iff term ``t`` occurs in the free text).
@@ -32,11 +32,6 @@ class ValueType(enum.Enum):
     NUMERIC = "numeric"
     STRING = "string"
     TEXT = "text"
-
-    @property
-    def has_value(self) -> bool:
-        """Whether elements of this type carry content."""
-        return self is not ValueType.NULL
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value

@@ -14,6 +14,15 @@ def xml_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def deep_chain_file(tmp_path):
+    """A 3000-deep chain of ``<a>`` elements (deeper than the recursion
+    limit of a recursive-descent parser)."""
+    path = tmp_path / "deep.xml"
+    path.write_text("<a>" * 3000 + "</a>" * 3000, encoding="utf-8")
+    return str(path)
+
+
 class TestCli:
     def test_summarize_then_estimate(self, xml_file, tmp_path, capsys):
         synopsis_path = str(tmp_path / "syn.json")
@@ -98,6 +107,24 @@ class TestCli:
         assert main(["convert", json2, back_path, "--format", "snapshot"]) == 0
         with open(snap_path, "rb") as a, open(back_path, "rb") as b:
             assert a.read() == b.read()
+
+    def test_summarize_deep_document(self, deep_chain_file, tmp_path, capsys):
+        synopsis_path = str(tmp_path / "deep.json")
+        assert main(["summarize", deep_chain_file, "-o", synopsis_path]) == 0
+        assert "3000 elements" in capsys.readouterr().out
+
+    def test_evaluate_deep_document(self, deep_chain_file, capsys):
+        assert main(["evaluate", deep_chain_file, "//a"]) == 0
+        assert capsys.readouterr().out.strip() == "3000"
+
+    @pytest.mark.parametrize(
+        "flag", [["--workers", "2"], ["--window-ms", "1"], ["--max-batch", "8"]]
+    )
+    def test_serve_has_no_batching_knobs(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", *flag, "x.snap"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):

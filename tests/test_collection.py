@@ -225,6 +225,40 @@ class TestEstimation:
         assert store.stats.plans_compiled == compiled_once
         assert store.stats.plan_cache_hits > 0
 
+    def test_collection_estimate_compiles_once_per_call(
+        self, exact_collection, monkeypatch
+    ):
+        """One compile per call, whatever the payload count, and the
+        same floats as summing each payload's own estimate."""
+        import repro.core.estimation.engine as engine_module
+
+        root, _, _ = exact_collection
+        store = CollectionStore(root)
+        compiled = []
+        real_compile = engine_module.compile_query
+
+        def counting_compile(query):
+            compiled.append(query)
+            return real_compile(query)
+
+        monkeypatch.setattr(engine_module, "compile_query", counting_compile)
+        for query in QUERIES:
+            before = len(compiled)
+            total = store.estimate_collection(query)
+            assert len(compiled) == before + 1
+            expected = 0.0
+            for entry in sorted(store.manifest.shards, key=lambda e: e.shard_id):
+                reader = store.reader(entry.shard_id)
+                for index, info in enumerate(reader.payloads):
+                    payload = CompiledEstimator(reader.synopsis(index))
+                    expected += info.multiplicity * payload.estimate(query)
+            assert total == expected
+        payloads = sum(
+            len(store.reader(entry.shard_id).payloads)
+            for entry in store.manifest.shards
+        )
+        assert payloads > 1
+
     def test_lru_eviction_keeps_serving(self, exact_collection):
         root, _, _ = exact_collection
         store = CollectionStore(root, max_open_shards=1)
@@ -597,6 +631,20 @@ class TestServing:
         assert doc == store.estimate("doc-001", QUERIES[0])
         assert total == store.estimate_collection(QUERIES[0])
         assert rolled == pytest.approx(total, rel=1e-6)
+
+    def test_batch_matches_coalesced_estimates(self, exact_collection):
+        root, _, _ = exact_collection
+        engine = self._engine(root)
+
+        async def run():
+            return await asyncio.gather(
+                *(engine.estimate(query) for query in QUERIES)
+            )
+
+        coalesced = asyncio.run(run())
+        assert engine.estimate_batch(list(QUERIES)) == coalesced
+        store = CollectionStore(root)
+        assert coalesced == [store.estimate_collection(q) for q in QUERIES]
 
     def test_engine_rejects_updates(self, exact_collection):
         root, _, _ = exact_collection

@@ -1,26 +1,24 @@
-"""Start-method fallback for the process-pool paths.
+"""Start-method fallback for the collection build's process pool.
 
-Both parallel entry points — batched estimation serving and candidate
-scoring — prefer the ``fork`` start method but must degrade gracefully:
-to ``spawn`` (pool initargs pickled instead of inherited) where fork is
+``build_collection(..., workers > 1)`` — the one process-pool caller —
+prefers the ``fork`` start method but must degrade gracefully: to
+``spawn`` (task arguments pickled instead of inherited) where fork is
 unavailable, and to the serial path where no start method works at all.
 The fallback order lives in :mod:`repro.core.parallel`; these tests
-force each rung by monkeypatching ``START_METHODS`` and assert the
-results are identical to the serial oracle on every rung.
+force each rung by monkeypatching ``START_METHODS`` and assert that
+every rung writes the serial build's payload bytes.
 """
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 import repro.core.parallel
-import repro.core.scoring
-from repro.core import build_reference_synopsis
-from repro.core.estimation import CompiledEstimator, estimate_many
+from repro.collection import CollectionConfig, build_collection
+from repro.collection.manifest import REFS_DIRNAME, SHARD_DIRNAME
 from repro.core.parallel import pool_context
-from repro.core.scoring import ScoringEngine, score_pairs_parallel
-from repro.core.sizing import merge_size_saving
-from repro.workload import generate_workload
 
 
 @pytest.fixture
@@ -52,83 +50,56 @@ class TestPoolContext:
         assert pool_context() is None
 
 
-class TestEstimationFallback:
-    @pytest.fixture
-    def batch(self, imdb_small, imdb_reference):
-        workload = generate_workload(imdb_small, 5, seed=31)
-        queries = [wq.query for wq in workload.queries]
-        assert len(queries) >= 16, "batch must clear MIN_PARALLEL_QUERIES"
-        serial = estimate_many(imdb_reference, queries, workers=1)
-        return queries, serial
+def _document(variant: int) -> str:
+    items = "".join(
+        f"<item><name>v{variant}-{i % 3}</name><price>{i * 7 % 50}</price></item>"
+        for i in range(4 + 3 * variant)
+    )
+    return f"<site><region>r{variant}</region>{items}</site>"
+
+
+#: Eight documents over three distinct structures, so the build fans
+#: more than one payload task out to the pool.
+DOCUMENTS = [(f"doc-{i}", _document(i % 3)) for i in range(8)]
+
+
+def _build(root: str, workers: int):
+    """Build the corpus; return the report and every payload file's bytes."""
+    config = CollectionConfig(
+        shard_count=3, total_budget=1 << 14, workers=workers
+    )
+    _manifest, report = build_collection(root, DOCUMENTS, config)
+    payloads = {}
+    for dirname in (SHARD_DIRNAME, REFS_DIRNAME):
+        for name in sorted(os.listdir(os.path.join(root, dirname))):
+            with open(os.path.join(root, dirname, name), "rb") as handle:
+                payloads[os.path.join(dirname, name)] = handle.read()
+    return report, payloads
+
+
+class TestCollectionBuildFallback:
+    @pytest.fixture(scope="class")
+    def serial(self, tmp_path_factory):
+        report, payloads = _build(str(tmp_path_factory.mktemp("serial")), 1)
+        assert report.distinct_structures == 3
+        assert report.workers_effective == 1
+        return payloads
 
     def test_spawn_fallback_matches_serial(
-        self, imdb_reference, batch, force_methods
+        self, serial, force_methods, tmp_path
     ):
-        """Without fork, the pool pickles its initargs through spawn and
-        still returns the serial floats exactly."""
-        queries, serial = batch
+        """Without fork, the pool pickles its tasks through spawn and
+        still writes the serial build's bytes."""
         force_methods("spawn")
-        assert estimate_many(imdb_reference, queries, workers=2) == serial
+        report, payloads = _build(str(tmp_path), 2)
+        assert report.workers_effective == 2
+        assert payloads == serial
 
     def test_serial_fallback_when_no_start_method(
-        self, imdb_reference, batch, force_methods
+        self, serial, force_methods, tmp_path
     ):
-        queries, serial = batch
-        force_methods("definitely-not-a-start-method")
-        estimator = CompiledEstimator(imdb_reference)
-        results = estimate_many(
-            imdb_reference, queries, workers=2, estimator=estimator
-        )
-        assert results == serial
-        # The serial path really ran: the caller's estimator served the
-        # batch itself instead of recording a pool dispatch.
-        assert estimator.stats.workers_used == 1
-
-
-class TestScoringFallback:
-    @pytest.fixture
-    def scoring_case(self, imdb_small, monkeypatch):
-        synopsis = build_reference_synopsis(
-            imdb_small.tree, imdb_small.value_paths
-        )
-        groups = {}
-        for node in synopsis.nodes.values():
-            groups.setdefault(node.merge_key(), []).append(node)
-        pairs = [
-            (group[i].node_id, group[j].node_id)
-            for group in groups.values()
-            for i in range(len(group))
-            for j in range(i + 1, len(group))
-        ]
-        assert pairs, "reference synopsis must offer mergeable pairs"
-        # The small fixture has fewer pairs than the production floor.
-        monkeypatch.setattr(repro.core.scoring, "MIN_PARALLEL_PAIRS", 1)
-        engine = ScoringEngine(synopsis, predicate_limit=32)
-        nodes = synopsis.nodes
-        expected = [
-            (
-                u_id,
-                v_id,
-                engine.merge_delta(nodes[u_id], nodes[v_id]),
-                max(1, merge_size_saving(synopsis, u_id, v_id)),
-            )
-            for u_id, v_id in pairs
-        ]
-        return synopsis, pairs, expected
-
-    def test_spawn_fallback_matches_serial(self, scoring_case, force_methods):
-        synopsis, pairs, expected = scoring_case
-        force_methods("spawn")
-        scored = score_pairs_parallel(
-            synopsis, pairs, predicate_limit=32, workers=2
-        )
-        assert scored is not None
-        assert sorted(scored) == sorted(expected)
-
-    def test_none_when_no_start_method(self, scoring_case, force_methods):
-        synopsis, pairs, _ = scoring_case
-        force_methods("definitely-not-a-start-method")
-        assert (
-            score_pairs_parallel(synopsis, pairs, predicate_limit=32, workers=2)
-            is None
-        )
+        force_methods()
+        report, payloads = _build(str(tmp_path), 2)
+        assert report.workers_requested == 2
+        assert report.workers_effective == 1
+        assert payloads == serial

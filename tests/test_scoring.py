@@ -217,56 +217,6 @@ class TestProfiles:
         assert node.node_id not in engine.profiles
 
 
-class TestParallelPoolConstruction:
-    def test_workers_produce_identical_candidate_set(self, imdb_small):
-        synopsis = build_reference_synopsis(
-            imdb_small.tree, imdb_small.value_paths
-        )
-        levels = synopsis.levels()
-
-        def snapshot(workers):
-            engine = ScoringEngine(synopsis, predicate_limit=32)
-            pool = build_pool(
-                synopsis, 5000, 2, levels, 32, 8, engine=engine, workers=workers
-            )
-            return sorted(
-                (c.u_id, c.v_id, c.delta, c.size_saving) for c in pool._heap
-            )
-
-        serial = snapshot(1)
-        parallel = snapshot(3)
-        assert serial == parallel
-
-    def test_workers_change_no_merge_decisions(self, imdb_small):
-        """A full build with workers > 1 applies the same merges."""
-
-        def build(workers):
-            synopsis = build_reference_synopsis(
-                imdb_small.tree, imdb_small.value_paths
-            )
-            config = BuildConfig(
-                structural_budget=structural_size_bytes(synopsis) // 3,
-                value_budget=10**9,
-                pool_max=2000,
-                pool_min=1000,
-                workers=workers,
-            )
-            builder = XClusterBuilder(config)
-            builder.compress(synopsis)
-            return builder.stats, synopsis
-
-        serial_stats, serial_synopsis = build(1)
-        parallel_stats, parallel_synopsis = build(4)
-        assert parallel_stats.merges_applied == serial_stats.merges_applied
-        assert len(parallel_synopsis) == len(serial_synopsis)
-        assert sorted(
-            (n.label, n.value_type, n.count) for n in serial_synopsis
-        ) == sorted((n.label, n.value_type, n.count) for n in parallel_synopsis)
-        assert structural_size_bytes(parallel_synopsis) == structural_size_bytes(
-            serial_synopsis
-        )
-
-
 class TestPoolCapacityPolicy:
     def _pool_with_candidates(self, count, max_size):
         synopsis = XClusterSynopsis()
@@ -366,7 +316,6 @@ class TestBuilderIntegration:
         assert 0.0 <= stats.selectivity_cache_hit_rate <= 1.0
         assert stats.profile_hits > 0
         assert stats.profile_hit_rate > 0.0
-        assert stats.workers_used == 1
 
 
 class TestCanonicalPredicates:

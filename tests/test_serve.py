@@ -237,6 +237,30 @@ class TestHttpServer:
         expected = [estimator.estimate(parse_twig(t)) for t in PROBES]
         assert results == expected
 
+    def test_single_estimate_compiles_its_twig_once(
+        self, synopsis, monkeypatch
+    ):
+        import repro.core.estimation.engine as engine_module
+
+        compiled = []
+        real_compile = engine_module.compile_query
+
+        def counting_compile(query):
+            compiled.append(query)
+            return real_compile(query)
+
+        monkeypatch.setattr(engine_module, "compile_query", counting_compile)
+
+        async def scenario(server, client):
+            return await client.estimate({"query": PROBES[1]})
+
+        status, body = self._run(synopsis, scenario)
+        assert status == 200
+        assert len(compiled) == 1
+        assert body["estimate"] == CompiledEstimator(synopsis).estimate(
+            parse_twig(PROBES[1])
+        )
+
     def test_ast_and_xpath_agree(self, synopsis):
         async def scenario(server, client):
             _, by_text = await client.estimate({"query": PROBES[1]})
