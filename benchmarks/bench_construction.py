@@ -4,8 +4,8 @@ The paper motivates the localized Δ metric and the bounded candidate
 pool (``H_m`` / ``H_l``) with construction efficiency (Section 4.3).
 These benches measure the real costs: reference-synopsis construction,
 a full budgeted build at two pool configurations, and the candidate
--scoring engine comparison (scalar reference path vs the vectorized
-profile-backed engine), whose results land in
+-scoring comparison (the scalar-Δ oracle of :mod:`repro.check.oracles`
+vs the vectorized profile-backed engine), whose results land in
 ``BENCH_construction.json``.
 """
 
@@ -14,6 +14,7 @@ from time import perf_counter
 import pytest
 
 import common
+from repro.check.oracles import ReferenceBuilder
 from repro.core import build_reference_synopsis
 from repro.core.builder import BuildConfig, XClusterBuilder
 from repro.core.sizing import structural_size_bytes
@@ -59,17 +60,23 @@ def test_budgeted_build_time(experiment_context, benchmark, pool_max, pool_min):
     assert stats.merges_applied > 0
 
 
-def _timed_build(context, dataset_name, budget, scoring):
-    """One full budgeted build; returns (seconds, stats, synopsis)."""
+def _timed_build(context, dataset_name, budget, scalar):
+    """One full budgeted build; returns (seconds, stats, synopsis).
+
+    ``scalar`` scores with the scalar-Δ oracle instead of the engine.
+    """
     synopsis = context.fresh_reference(dataset_name)
     config = BuildConfig(
         structural_budget=budget,
         value_budget=10**9,
         pool_max=context.config.pool_max,
         pool_min=context.config.pool_min,
-        scoring=scoring,
     )
-    builder = XClusterBuilder(config)
+    builder = (
+        ReferenceBuilder(config, reference_values=False)
+        if scalar
+        else XClusterBuilder(config)
+    )
     started = perf_counter()
     builder.compress(synopsis)
     elapsed = perf_counter() - started
@@ -111,10 +118,10 @@ def test_scoring_engine_speedup(experiment_context):
     budget = structural_size_bytes(reference) // 10
 
     scalar_seconds, scalar_stats, scalar_synopsis = _timed_build(
-        context, dataset_name, budget, "scalar"
+        context, dataset_name, budget, scalar=True
     )
     vector_seconds, vector_stats, vector_synopsis = _timed_build(
-        context, dataset_name, budget, "vectorized"
+        context, dataset_name, budget, scalar=False
     )
 
     speedup = scalar_seconds / vector_seconds if vector_seconds > 0 else 0.0

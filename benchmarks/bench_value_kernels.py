@@ -2,10 +2,11 @@
 
 Phase 2 of XCLUSTERBUILD repeatedly picks the valued node whose next
 compression step (``hist_cmprs`` / ``st_cmprs`` / ``tv_cmprs``) loses the
-least accuracy per byte saved.  The reference summary classes recompute
-each step from scratch; the kernel engine
-(:mod:`repro.values.kernels`) drives the same greedy sequences through
-incremental priority queues and persistent per-node steppers.
+least accuracy per byte saved.  The reference steppers of
+:mod:`repro.check.oracles` recompute each step from scratch; the
+kernel engine (:mod:`repro.values.kernels`) drives the same greedy
+sequences through incremental priority queues and persistent per-node
+steppers.
 
 This bench isolates phase 2 on XMark: the structural budget is set to
 the full reference size (so phase 1 applies no merges and both runs
@@ -20,6 +21,7 @@ must deliver at least a 2x speedup on the combined ``st_cmprs`` +
 """
 
 import common
+from repro.check.oracles import ReferenceBuilder
 from repro.core.builder import BuildConfig, XClusterBuilder
 from repro.core.estimator import XClusterEstimator
 from repro.core.sizing import (
@@ -48,15 +50,18 @@ def _relative_difference(expected, actual):
 
 
 def _run_build(context, dataset_name, engine, structural_budget, value_budget):
+    """One phase-2 build with the ``"reference"`` or ``"kernel"`` steppers."""
     synopsis = context.fresh_reference(dataset_name)
-    builder = XClusterBuilder(
-        BuildConfig(
-            structural_budget=structural_budget,
-            value_budget=value_budget,
-            pool_max=context.config.pool_max,
-            pool_min=context.config.pool_min,
-            value_engine=engine,
-        )
+    config = BuildConfig(
+        structural_budget=structural_budget,
+        value_budget=value_budget,
+        pool_max=context.config.pool_max,
+        pool_min=context.config.pool_min,
+    )
+    builder = (
+        ReferenceBuilder(config, scalar_scoring=False)
+        if engine == "reference"
+        else XClusterBuilder(config)
     )
     builder.compress(synopsis)
     return synopsis, builder.stats
@@ -70,7 +75,7 @@ def _summary_sizes(synopsis):
     }
 
 
-def _stats_record(stats):
+def _stats_record(stats, engine):
     compression_seconds = (
         stats.hist_cmprs_seconds
         + stats.st_cmprs_seconds
@@ -89,7 +94,7 @@ def _stats_record(stats):
         "value_stale_pops": stats.value_stale_pops,
         "final_value_bytes": stats.final_value_bytes,
         "value_budget_met": stats.value_budget_met,
-        "engine": stats.value_engine_used,
+        "engine": engine,
     }
 
 
@@ -166,8 +171,8 @@ def test_value_kernel_engine_speedup(experiment_context):
         "reference_value_bytes": value_size_bytes(reference),
         "value_size_breakdown": value_size_breakdown(kernel_synopsis),
         "queries": len(queries),
-        "reference": _stats_record(reference_stats),
-        "kernel": _stats_record(kernel_stats),
+        "reference": _stats_record(reference_stats, "reference"),
+        "kernel": _stats_record(kernel_stats, "kernel"),
         "speedup": round(speedup, 3),
         "value_phase_speedup": round(phase_speedup, 3),
         "speedup_floor": SPEEDUP_FLOOR,

@@ -8,8 +8,7 @@ Subcommands::
     python -m repro convert synopsis.json synopsis.bin --format snapshot
     python -m repro serve (synopsis.bin | --document INPUT.xml | \
         --collection ROOT) [--host H] [--port P]
-    python -m repro evaluate INPUT.xml "//movie[./year >= 2000]/title" \
-        [--engine interval|treewalk]
+    python -m repro evaluate INPUT.xml "//movie[./year >= 2000]/title"
     python -m repro experiments [--scale 0.25] [--queries 15]
     python -m repro check [--rounds 3] [--seed S] [--synopsis FILE] \
         [--evaluator] [--updates [--updates-per-round N]] [--collection]
@@ -163,7 +162,7 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     doc = ingest_file(args.input)
     query = parse_twig(args.query)
-    print(evaluate_selectivity(doc, query, engine=args.engine))
+    print(evaluate_selectivity(doc, query))
     return 0
 
 
@@ -440,9 +439,7 @@ def _cmd_collection(args: argparse.Namespace) -> int:
     if args.action == "rebalance":
         log = _read_query_log(args.log)
         started = perf_counter()
-        manifest, report = rebalance_collection(
-            args.root, log, workers=args.workers
-        )
+        manifest, report = rebalance_collection(args.root, log)
         elapsed = perf_counter() - started
         multipliers = ", ".join(
             f"{shard_id}:{multiplier:.2f}"
@@ -572,12 +569,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = commands.add_parser("evaluate", help="exact selectivity on a document")
     evaluate.add_argument("input", help="XML document")
     evaluate.add_argument("query", help="twig query")
-    evaluate.add_argument(
-        "--engine",
-        choices=("interval", "treewalk"),
-        default="interval",
-        help="exact-evaluation engine (default %(default)s)",
-    )
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     experiments = commands.add_parser(
@@ -718,7 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="observed query log: JSON lines (or a JSON array) of "
         '{"doc": <id>, "query": <xpath>}',
     )
-    coll_rebalance.add_argument("--workers", type=int, default=1)
     coll_rebalance.set_defaults(handler=_cmd_collection)
 
     coll_stats = actions.add_parser(

@@ -6,8 +6,11 @@ The correctness tooling behind ``python -m repro check``:
   synopsis and returning structured :class:`Violation` records for
   every breach of the paper's definitional invariants;
 * :mod:`repro.check.diffharness` — :class:`DifferentialHarness`, the
-  seeded fuzzer running reference-vs-kernel builds and scalar-vs-
+  seeded fuzzer running oracle-vs-production builds and scalar-vs-
   compiled estimation side by side on generated documents;
+* :mod:`repro.check.oracles` — the reference implementations production
+  is checked against: :class:`ScalarScorer`, the ``Reference*Stepper``
+  classes and :class:`ReferenceBuilder`;
 * :mod:`repro.check.shrink` — delta-debugging minimization of failing
   documents and queries;
 * :mod:`repro.check.report` — :class:`CheckReport` aggregation.
@@ -21,6 +24,7 @@ from repro.check.diffharness import (
     run_differential_check,
 )
 from repro.check.invariants import InvariantAuditor, Violation, audit_synopsis
+from repro.check.oracles import ReferenceBuilder, ScalarScorer
 from repro.check.report import CheckReport, Failure
 from repro.check.shrink import shrink_document, shrink_query, shrink_updates
 
@@ -32,6 +36,8 @@ __all__ = [
     "Failure",
     "HarnessConfig",
     "InvariantAuditor",
+    "ReferenceBuilder",
+    "ScalarScorer",
     "Violation",
     "audit_synopsis",
     "run_differential_check",

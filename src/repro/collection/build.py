@@ -90,7 +90,8 @@ class CollectionConfig:
             as payloads — the exact mode the differential harness pits
             against the monolithic oracle.
         text_word_threshold: ingestion typing knob (parser semantics).
-        workers: processes for the distinct-structure fan-out.
+        workers: processes for the build's distinct-structure fan-out
+            (rebalancing recompresses serially).
         min_payload_budget: floor for one payload's total budget.
     """
 
@@ -473,7 +474,6 @@ def _write_collection(
 def rebalance_collection(
     root: str,
     log: Sequence[Tuple[str, TwigQuery]],
-    workers: int = 1,
     autobudget_queries: int = 8,
 ) -> Tuple[CollectionManifest, BuildReport]:
     """Reallocate synopsis bytes toward the shards the log actually hits.
@@ -492,9 +492,8 @@ def rebalance_collection(
         total_budget=manifest.total_budget,
         structural_share=manifest.structural_share,
         compress=manifest.compressed,
-        workers=workers,
     )
-    report = BuildReport(workers_requested=workers, workers_effective=1)
+    report = BuildReport()
 
     clustered = cluster_log(
         log, lambda doc_id: shard_for_doc(doc_id, manifest.shard_count)
@@ -603,7 +602,6 @@ def rebalance_collection(
                 needed[info.content_hash].append(split)
         budgets_by_shard[shard_id] = shard_budgets
 
-    tasks = []
     for content_hash, variants in sorted(needed.items()):
         ref = _load_reference(root, manifest, content_hash)
         if ref is None:
@@ -621,7 +619,6 @@ def rebalance_collection(
                 trial
             )
             report.payload_builds += 1
-            tasks.append((content_hash, b_str, b_val))
 
     refs_map = dict(manifest.refs)
     ref_blobs = {

@@ -20,28 +20,20 @@ from dataclasses import dataclass, field, replace
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.distance import SelectivityCache, compression_delta
 from repro.core.pool import CandidatePool, build_pool
 from repro.core.scoring import ScoringEngine
 from repro.core.reference import Document, LabelPath, build_reference_synopsis
 from repro.core.sizing import structural_size_bytes, value_size_bytes
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
-from repro.values.kernels.queue import SummaryStepper, make_stepper
-from repro.values.summary import (
-    HistogramSummary,
-    StringSummary,
-    SummaryConfig,
-    TextSummary,
-    ValueSummary,
+from repro.values.kernels.queue import (
+    COMPRESSION_STEPS,
+    SummaryStepper,
+    make_stepper,
 )
+from repro.values.summary import SummaryConfig, ValueSummary
+
+
 #: Stepper family -> the BuildStats timer its advances accumulate into.
-def _profile_violation(message: str):
-    """Wrap a scoring-engine staleness finding as a check Violation."""
-    from repro.check.invariants import Violation
-
-    return Violation("scoring-profile", message)
-
-
 _FAMILY_TIMERS = {
     "hist_cmprs": "hist_cmprs_seconds",
     "st_cmprs": "st_cmprs_seconds",
@@ -61,18 +53,6 @@ class BuildConfig:
         pool_min: ``H_l``, the pool size at which it is replenished.
         predicate_limit: atomic predicates per summary in the Δ metric.
         neighbors: similarity neighbors per node during pool generation.
-        histogram_step: buckets removed per ``hist_cmprs`` step.
-        string_step: PST leaves pruned per ``st_cmprs`` step.
-        text_step: terms demoted per ``tv_cmprs`` step.
-        scoring: candidate-scoring implementation — ``"vectorized"``
-            (the profile-backed engine, default) or ``"scalar"`` (the
-            reference Δ implementation, kept for parity testing and
-            benchmarking against the pre-optimization path).
-        value_engine: phase-2 compression execution — ``"kernel"``
-            (incremental per-node steppers backed by
-            :mod:`repro.values.kernels`, default) or ``"reference"``
-            (the scalar oracles re-run from scratch per step; same
-            decisions bit-for-bit, kept for parity and benchmarking).
         audit: run the :mod:`repro.check` invariant auditor on the
             compressed synopsis; violations land in
             :attr:`BuildStats.audit_violations`.  Off by default (it
@@ -86,11 +66,6 @@ class BuildConfig:
     pool_min: int = 5000
     predicate_limit: int = 32
     neighbors: int = 8
-    histogram_step: int = 1
-    string_step: int = 8
-    text_step: int = 4
-    scoring: str = "vectorized"
-    value_engine: str = "kernel"
     audit: bool = False
     summary: SummaryConfig = field(default_factory=SummaryConfig)
 
@@ -101,8 +76,8 @@ class BuildStats:
 
     Beyond the outcome counters, the stats carry the construction
     profiling layer: per-phase wall-clock timers, Δ-evaluation counts,
-    selectivity-cache and profile hit rates (vectorized scoring only),
-    and the candidate-pool trim churn.
+    selectivity-cache and profile hit rates, and the candidate-pool
+    trim churn.
     """
 
     merges_applied: int = 0
@@ -131,8 +106,6 @@ class BuildStats:
     #: Candidate-pool capacity trims and candidates evicted by them.
     pool_trims: int = 0
     candidates_trimmed: int = 0
-    #: Phase-2 compression engine actually used ("kernel"/"reference").
-    value_engine_used: str = "kernel"
     #: Phase-2 wall-clock split: seconds inside compression advances,
     #: per summary family, plus Δ evaluation of the resulting candidates.
     hist_cmprs_seconds: float = 0.0
@@ -166,7 +139,8 @@ class _ValueCandidate:
 
     Ordered by ``(marginal_loss, node_id)`` — the node id makes equal
     losses pop in a canonical order, independent of heap history (and
-    therefore identical between the kernel and reference engines).
+    therefore identical between the kernel steppers and the reference
+    oracles).
     """
 
     marginal_loss: float
@@ -180,23 +154,18 @@ class _ValueCandidate:
 
 
 class XClusterBuilder:
-    """Builds an XCluster synopsis for a storage budget (paper Figure 5)."""
+    """Builds an XCluster synopsis for a storage budget (paper Figure 5).
+
+    Δ is scored by :class:`ScoringEngine` and phase 2 steps through the
+    kernel steppers; :meth:`_make_scorer` and :meth:`_make_stepper` are
+    the two seams :class:`repro.check.oracles.ReferenceBuilder` swaps
+    for the scalar oracles.
+    """
 
     def __init__(self, config: Optional[BuildConfig] = None) -> None:
         self.config = config if config is not None else BuildConfig()
-        if self.config.scoring not in ("vectorized", "scalar"):
-            raise ValueError(
-                f"unknown scoring mode {self.config.scoring!r}; "
-                "expected 'vectorized' or 'scalar'"
-            )
-        if self.config.value_engine not in ("kernel", "reference"):
-            raise ValueError(
-                f"unknown value engine {self.config.value_engine!r}; "
-                "expected 'kernel' or 'reference'"
-            )
         self.stats = BuildStats()
-        self._cache: SelectivityCache = {}
-        self._engine: Optional[ScoringEngine] = None
+        self._scorer: Optional[ScoringEngine] = None
 
     # -- public API -----------------------------------------------------------
 
@@ -222,24 +191,17 @@ class XClusterBuilder:
         Returns the same synopsis object for convenience.
         """
         self.stats = BuildStats(reference_nodes=len(synopsis))
-        self.stats.value_engine_used = self.config.value_engine
-        self._cache = {}
-        self._engine = (
-            ScoringEngine(synopsis, self.config.predicate_limit, self._cache)
-            if self.config.scoring == "vectorized"
-            else None
-        )
+        scorer = self._scorer = self._make_scorer(synopsis)
         started = perf_counter()
         self._merge_phase(synopsis)
         self.stats.merge_phase_seconds = perf_counter() - started
         started = perf_counter()
         self._value_phase(synopsis)
         self.stats.value_phase_seconds = perf_counter() - started
-        if self._engine is not None:
-            self.stats.selectivity_cache_hits = self._engine.cache_hits
-            self.stats.selectivity_cache_misses = self._engine.cache_misses
-            self.stats.profile_hits = self._engine.profile_hits
-            self.stats.profile_misses = self._engine.profile_misses
+        self.stats.selectivity_cache_hits = scorer.cache_hits
+        self.stats.selectivity_cache_misses = scorer.cache_misses
+        self.stats.profile_hits = scorer.profile_hits
+        self.stats.profile_misses = scorer.profile_misses
         self.stats.final_structural_bytes = structural_size_bytes(synopsis)
         self.stats.final_value_bytes = value_size_bytes(synopsis)
         self.stats.structural_budget_met = (
@@ -251,18 +213,27 @@ class XClusterBuilder:
         self.stats.final_nodes = len(synopsis)
         if self.config.audit:
             # Imported lazily: repro.check depends on this module.
-            from repro.check.invariants import InvariantAuditor
+            from repro.check.invariants import InvariantAuditor, Violation
 
             auditor = InvariantAuditor(
                 predicate_limit=self.config.predicate_limit
             )
             self.stats.audit_violations = auditor.audit(synopsis)
-            if self._engine is not None:
-                self.stats.audit_violations.extend(
-                    _profile_violation(message)
-                    for message in self._engine.audit_profiles()
-                )
+            self.stats.audit_violations.extend(
+                Violation("scoring-profile", message)
+                for message in scorer.audit_profiles()
+            )
         return synopsis
+
+    # -- the two engine seams -------------------------------------------------
+
+    def _make_scorer(self, synopsis: XClusterSynopsis) -> ScoringEngine:
+        """The Δ scorer one compression run ranks every candidate with."""
+        return ScoringEngine(synopsis, self.config.predicate_limit)
+
+    def _make_stepper(self, summary: ValueSummary) -> SummaryStepper:
+        """The phase-2 stepper continuing one node's summary chain."""
+        return make_stepper(summary)
 
     # -- phase 1: structure-value merge ------------------------------------------
 
@@ -272,7 +243,7 @@ class XClusterBuilder:
         level_limit: int,
         levels: Dict[int, int],
     ) -> CandidatePool:
-        """One timed ``build_pool`` call with the configured scoring path."""
+        """One timed ``build_pool`` call."""
         config = self.config
         started = perf_counter()
         pool = build_pool(
@@ -280,10 +251,8 @@ class XClusterBuilder:
             config.pool_max,
             level_limit,
             levels,
-            config.predicate_limit,
+            self._scorer,
             config.neighbors,
-            self._cache,
-            engine=self._engine,
         )
         self.stats.pool_build_seconds += perf_counter() - started
         self.stats.pool_rebuilds += 1
@@ -395,15 +364,6 @@ class XClusterBuilder:
 
     # -- phase 2: value-summary compression -----------------------------------------
 
-    def _compression_step(self, summary: ValueSummary) -> int:
-        if isinstance(summary, HistogramSummary):
-            return self.config.histogram_step
-        if isinstance(summary, StringSummary):
-            return self.config.string_step
-        if isinstance(summary, TextSummary):
-            return self.config.text_step
-        return 1
-
     def _advance_stepper(
         self, node: SynopsisNode, steppers: Dict[int, SummaryStepper]
     ) -> Optional[ValueSummary]:
@@ -417,10 +377,10 @@ class XClusterBuilder:
         summary = node.vsumm
         stepper = steppers.get(node.node_id)
         if stepper is None or stepper.expected is not summary:
-            stepper = make_stepper(summary, self.config.value_engine)
+            stepper = self._make_stepper(summary)
             steppers[node.node_id] = stepper
         started = perf_counter()
-        compressed = stepper.advance(self._compression_step(summary))
+        compressed = stepper.advance(COMPRESSION_STEPS.get(stepper.family, 1))
         elapsed = perf_counter() - started
         timer = _FAMILY_TIMERS.get(stepper.family, "other_cmprs_seconds")
         setattr(self.stats, timer, getattr(self.stats, timer) + elapsed)
@@ -440,12 +400,7 @@ class XClusterBuilder:
             return None
         self.stats.scoring_calls += 1
         started = perf_counter()
-        if self._engine is not None:
-            delta = self._engine.compression_delta(node, compressed)
-        else:
-            delta = compression_delta(
-                node, compressed, self.config.predicate_limit, self._cache
-            )
+        delta = self._scorer.compression_delta(node, compressed)
         self.stats.value_delta_seconds += perf_counter() - started
         return _ValueCandidate(
             marginal_loss=delta / saving,
@@ -462,7 +417,7 @@ class XClusterBuilder:
         if value_size <= config.value_budget:
             return
         #: node id -> the persistent compression stepper for its summary
-        #: chain (kernel engine: incremental heaps/orders carried across
+        #: chain (incremental kernel heaps/orders carried across
         #: successive steps on the same node).
         steppers: Dict[int, SummaryStepper] = {}
         heap: List[_ValueCandidate] = []

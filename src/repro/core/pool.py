@@ -15,10 +15,9 @@ nearest neighbors in a cheap structural-similarity order, exactly in the
 spirit of the paper's bottom-up level heuristic (nodes whose children
 were merged sort together).  Small groups still enumerate all pairs.
 
-Scoring goes through the vectorized :class:`~repro.core.scoring
-.ScoringEngine` when one is supplied (the builder's default); without an
-engine the pool falls back to the scalar Δ implementation, which is the
-pre-optimization reference path.
+Candidates are scored by the :class:`~repro.core.scoring.ScoringEngine`
+the caller supplies (the scalar-Δ oracle of :mod:`repro.check.oracles`
+has the same interface).
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.core.distance import SelectivityCache, merge_delta
 from repro.core.scoring import ScoringEngine
 from repro.core.sizing import merge_size_saving
 from repro.core.synopsis import SynopsisNode, XClusterSynopsis
@@ -152,16 +150,12 @@ class CandidatePool:
         self,
         synopsis: XClusterSynopsis,
         max_size: int,
-        predicate_limit: int,
-        cache: Optional[SelectivityCache] = None,
-        engine: Optional[ScoringEngine] = None,
+        scorer: ScoringEngine,
         slack: float = POOL_SLACK,
     ) -> None:
         self.synopsis = synopsis
         self.max_size = max_size
-        self.predicate_limit = predicate_limit
-        self.cache: SelectivityCache = cache if cache is not None else {}
-        self.engine = engine
+        self.scorer = scorer
         self.slack = max(1.0, slack)
         self._heap: List[MergeCandidate] = []
         #: Bumped whenever a node's local neighborhood changes.
@@ -188,12 +182,7 @@ class CandidatePool:
         if u is None or v is None or u.merge_key() != v.merge_key():
             return None
         self.scoring_calls += 1
-        if self.engine is not None:
-            delta = self.engine.merge_delta(u, v)
-        else:
-            delta = merge_delta(
-                self.synopsis, u, v, self.predicate_limit, self.cache
-            )
+        delta = self.scorer.merge_delta(u, v)
         saving = max(1, merge_size_saving(self.synopsis, u_id, v_id))
         return MergeCandidate(
             marginal_loss=delta / saving,
@@ -253,14 +242,13 @@ class CandidatePool:
     def bump_versions(self, node_ids: Iterable[int]) -> None:
         """Mark nodes' neighborhoods changed (stale candidates rescore).
 
-        The scoring engine's profiles cover the same local state (the
+        The scorer's profiles cover the same local state (the
         child-count moments), so the touched profiles are dropped too.
         """
         node_ids = list(node_ids)
         for node_id in node_ids:
             self.node_versions[node_id] = self.node_versions.get(node_id, 0) + 1
-        if self.engine is not None:
-            self.engine.invalidate(node_ids)
+        self.scorer.invalidate(node_ids)
 
     def pop_best(self) -> Optional[MergeCandidate]:
         """Pop the lowest-marginal-loss *valid* candidate.
@@ -287,10 +275,8 @@ def build_pool(
     max_size: int,
     level_limit: int,
     levels: Dict[int, int],
-    predicate_limit: int = 48,
+    scorer: ScoringEngine,
     neighbors: int = 8,
-    cache: Optional[SelectivityCache] = None,
-    engine: Optional[ScoringEngine] = None,
 ) -> CandidatePool:
     """Assemble the candidate pool for the current level bound.
 
@@ -298,9 +284,7 @@ def build_pool(
     merge-compatible nodes whose level is at most ``level_limit``, keep
     the best ``max_size`` by marginal loss.
     """
-    pool = CandidatePool(
-        synopsis, max_size, predicate_limit, cache, engine=engine
-    )
+    pool = CandidatePool(synopsis, max_size, scorer)
     groups: Dict[Tuple, List[SynopsisNode]] = {}
     for node in synopsis:
         if levels.get(node.node_id, 0) > level_limit:

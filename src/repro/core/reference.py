@@ -31,7 +31,6 @@ from itertools import islice
 from typing import (
     Callable,
     Dict,
-    Hashable,
     List,
     Optional,
     Sequence,
@@ -354,54 +353,6 @@ def build_reference_synopsis(
     )
 
 
-def _build_with_classifier(
-    document: Document,
-    classify: Callable[[XMLElement, LabelPath], Hashable],
-    columnar_keys: Callable[[ColumnarDocument], List[int]],
-    value_paths: Optional[Sequence[LabelPath]],
-    config: Optional[SummaryConfig],
-    with_summaries: bool,
-) -> XClusterSynopsis:
-    if isinstance(document, ColumnarDocument):
-        classes = _intern_column(columnar_keys(document))
-        return _assemble_columnar(
-            document, classes, value_paths, config, with_summaries
-        )
-    elements, parents, paths = _document_order(document)
-    interned: Dict[Hashable, int] = {}
-    classes = [
-        interned.setdefault(classify(elements[i], paths[i]), len(interned))
-        for i in range(len(elements))
-    ]
-    return build_synopsis_from_classes(
-        elements, parents, paths, classes, value_paths, config, with_summaries
-    )
-
-
-def build_path_synopsis(
-    document: Document,
-    value_paths: Optional[Sequence[LabelPath]] = None,
-    config: Optional[SummaryConfig] = None,
-    with_summaries: bool = True,
-) -> XClusterSynopsis:
-    """A coarser summary clustering elements purely by label path.
-
-    An intermediate baseline between the tag synopsis and the full
-    count-stable reference.
-    """
-    return _build_with_classifier(
-        document,
-        lambda element, path: (path, element.value_type),
-        lambda doc: [
-            (pid << 2) | kind
-            for pid, kind in zip(doc.path_ids, doc.value_kind)
-        ],
-        value_paths,
-        config,
-        with_summaries,
-    )
-
-
 def build_tag_synopsis(
     document: Document,
     value_paths: Optional[Sequence[LabelPath]] = None,
@@ -413,14 +364,22 @@ def build_tag_synopsis(
     This is the paper's "0 KB structural budget" point — the synopsis
     that clusters elements based solely on their tags.
     """
-    return _build_with_classifier(
-        document,
-        lambda element, path: (element.label, element.value_type),
-        lambda doc: [
-            (label_id << 2) | kind
-            for label_id, kind in zip(doc.labels, doc.value_kind)
-        ],
-        value_paths,
-        config,
-        with_summaries,
+    if isinstance(document, ColumnarDocument):
+        classes = _intern_column(
+            [
+                (label_id << 2) | kind
+                for label_id, kind in zip(document.labels, document.value_kind)
+            ]
+        )
+        return _assemble_columnar(
+            document, classes, value_paths, config, with_summaries
+        )
+    elements, parents, paths = _document_order(document)
+    interned: Dict[Tuple[str, ValueType], int] = {}
+    classes = [
+        interned.setdefault((element.label, element.value_type), len(interned))
+        for element in elements
+    ]
+    return build_synopsis_from_classes(
+        elements, parents, paths, classes, value_paths, config, with_summaries
     )

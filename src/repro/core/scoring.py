@@ -22,14 +22,15 @@ This module makes candidate scoring incremental and batched:
   where ``x = σ_u − a·σ_w`` and ``y = b·σ_w`` (``a``/``b`` the extent
   shares), so each predicate costs O(1) instead of O(children).
 * Profiles persist across pool rebuilds (the engine outlives any one
-  :class:`~repro.core.pool.CandidatePool`) and share the existing
-  ``SelectivityCache`` with the scalar path, so selectivities computed
-  in one rebuild are reused by the next.
+  :class:`~repro.core.pool.CandidatePool`) and resolve through one
+  ``SelectivityCache``, so selectivities computed in one rebuild are
+  reused by the next.
 
 The engine is numerically equivalent to the scalar implementation (the
 summation over predicates runs in the same order; only the inner child
 sum is factored), which the parity tests in ``tests/test_scoring.py``
-pin down.
+and the differential harness pin down against
+:class:`repro.check.oracles.ScalarScorer`.
 """
 
 from __future__ import annotations

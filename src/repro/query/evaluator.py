@@ -1,4 +1,4 @@
-"""Exact twig-query evaluation — tree-walk oracle and engine dispatch.
+"""Exact twig-query evaluation — the production entry point and its oracle.
 
 This module computes the true selectivity ``s(Q)`` of a twig query — the
 number of binding tuples (paper Section 2).  It is the ground truth
@@ -6,19 +6,17 @@ against which all XCluster estimates are scored, and it shares the
 paper's path-counting semantics: an element reachable from its context
 through several distinct axis paths contributes once per path.
 
-Two engines share those semantics bit-exactly:
+Two evaluators share those semantics bit-exactly:
 
-* :class:`TreeWalkEvaluator` — the reference oracle.  Dynamic
-  programming over ``XMLElement`` objects with per-step weighted
-  frontiers, exactly the paper's recurrence.
 * :class:`repro.query.interval.IntervalEvaluator` — the production
   engine.  Pre/post/level interval joins over sorted
-  :class:`ColumnarDocument` columns; the default, because the oracle's
-  object walk caps accuracy experiments at toy document scales.
-
-:class:`ExactEvaluator` dispatches between them and accepts either an
-``XMLTree`` or a ``ColumnarDocument`` (freezing/thawing to the
-substrate its engine needs), so callers keep one entry point.
+  :class:`ColumnarDocument` columns.  :class:`ExactEvaluator` is the
+  same engine, also accepting an ``XMLTree`` (frozen once up front).
+* :class:`TreeWalkEvaluator` — the reference oracle the differential
+  harness and the parity tests construct directly.  Dynamic
+  programming over ``XMLElement`` objects with per-step weighted
+  frontiers, exactly the paper's recurrence; its object walk caps
+  accuracy experiments at toy document scales.
 
 The query root ``q0`` binds the *virtual document root*, whose single
 child is the document's root element.
@@ -29,13 +27,11 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Tuple, Union
 
 from repro.query.ast import AxisStep, EdgePath, QueryNode, TwigQuery
-from repro.xmltree.columnar import ColumnarDocument, freeze, thaw
+from repro.query.interval import IntervalEvaluator
+from repro.xmltree.columnar import ColumnarDocument, freeze
 from repro.xmltree.tree import XMLElement, XMLTree
 
-#: Engine names accepted by :class:`ExactEvaluator`.
-ENGINES = ("interval", "treewalk")
-
-#: Either document substrate; both engines can serve both.
+#: Either document substrate; :class:`ExactEvaluator` serves both.
 DocumentSource = Union[XMLTree, ColumnarDocument]
 
 
@@ -136,53 +132,19 @@ class TreeWalkEvaluator:
         return self.selectivity(query) > 0
 
 
-class ExactEvaluator:
-    """Engine-dispatching exact evaluator over either substrate.
+class ExactEvaluator(IntervalEvaluator):
+    """The interval-join evaluator over either substrate.
 
-    ``source`` may be an ``XMLTree`` or a ``ColumnarDocument``; the
-    chosen engine's substrate is derived once up front (``freeze`` for
-    the interval engine over a tree, ``thaw`` for the oracle over
-    columns), so evaluating a whole workload amortizes the conversion.
+    An ``XMLTree`` source is frozen to columns once up front, so
+    evaluating a whole workload amortizes the conversion.
     """
 
-    def __init__(
-        self, source: DocumentSource, engine: str = "interval"
-    ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(
-                f"unknown evaluation engine {engine!r}; expected one of {ENGINES}"
-            )
-        self.engine = engine
-        if isinstance(source, ColumnarDocument):
-            tree, doc = None, source
-        else:
-            tree, doc = source, None
-        if engine == "interval":
-            from repro.query.interval import IntervalEvaluator
-
-            self._impl = IntervalEvaluator(doc if doc is not None else freeze(tree))
-        else:
-            self._impl = TreeWalkEvaluator(tree if tree is not None else thaw(doc))
-        self.source = source
-
-    @property
-    def tree(self) -> XMLTree:
-        """The object tree, materializing it on demand (oracle compat)."""
-        if isinstance(self.source, ColumnarDocument):
-            return thaw(self.source)
-        return self.source
-
-    def selectivity(self, query: TwigQuery) -> int:
-        """The exact number of binding tuples of ``query``."""
-        return self._impl.selectivity(query)
-
-    def matches(self, query: TwigQuery) -> bool:
-        """Whether the query has at least one binding tuple."""
-        return self._impl.matches(query)
+    def __init__(self, source: DocumentSource) -> None:
+        if not isinstance(source, ColumnarDocument):
+            source = freeze(source)
+        super().__init__(source)
 
 
-def evaluate_selectivity(
-    source: DocumentSource, query: TwigQuery, engine: str = "interval"
-) -> int:
+def evaluate_selectivity(source: DocumentSource, query: TwigQuery) -> int:
     """One-shot exact selectivity (see :class:`ExactEvaluator`)."""
-    return ExactEvaluator(source, engine=engine).selectivity(query)
+    return ExactEvaluator(source).selectivity(query)

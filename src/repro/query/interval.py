@@ -375,8 +375,3 @@ class IntervalEvaluator:
             high = bisect_left(targets, count if e < 0 else ends[e], low)
             pulled.append(prefix[high] - prefix[low])
         return contexts, pulled
-
-
-def evaluate_columnar(doc: ColumnarDocument, query: TwigQuery) -> int:
-    """One-shot exact selectivity over a columnar document."""
-    return IntervalEvaluator(doc).selectivity(query)

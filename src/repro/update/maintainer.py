@@ -57,10 +57,8 @@ from repro.core.synopsis import XClusterSynopsis
 from repro.update.columnar import apply_update
 from repro.update.ops import UpdateOp
 from repro.values.ebth import EndBiasedTermHistogram
-from repro.values.kernels.queue import make_stepper
+from repro.values.kernels.queue import COMPRESSION_STEPS, make_stepper
 from repro.values.summary import (
-    HistogramSummary,
-    StringSummary,
     SummaryConfig,
     TextSummary,
     ValueSummary,
@@ -83,37 +81,25 @@ from repro.xmltree.types import ValueType
 #: pathological streams that churn values without repetition.
 DEFAULT_CACHE_ENTRIES = 16384
 
-#: Per-advance compression amounts when enforcing a summary budget,
-#: matching the builder's phase-2 defaults per summary family.
-_BUDGET_STEPS = (
-    (HistogramSummary, 1),
-    (StringSummary, 8),
-    (TextSummary, 4),
-)
-
 
 def enforce_summary_budget(
     summary: Optional[ValueSummary],
     max_bytes: Optional[int],
-    engine: str = "kernel",
 ) -> Optional[ValueSummary]:
     """Compress ``summary`` through its stepper until it fits the budget.
 
-    Deterministic in ``(summary, max_bytes, engine)``, so the rebuild
-    oracle applies the same function to freshly built summaries and
-    stays bit-exact with incrementally maintained ones.
+    Steps by the builder's per-family amounts.  Deterministic in
+    ``(summary, max_bytes)``, so the rebuild oracle applies the same
+    function to freshly built summaries and stays bit-exact with
+    incrementally maintained ones.
     """
     if summary is None or max_bytes is None:
         return summary
     current = summary
     if current.size_bytes() <= max_bytes:
         return current
-    stepper = make_stepper(current, engine)
-    step = 1
-    for family, amount in _BUDGET_STEPS:
-        if isinstance(current, family):
-            step = amount
-            break
+    stepper = make_stepper(current)
+    step = COMPRESSION_STEPS.get(stepper.family, 1)
     while current.size_bytes() > max_bytes:
         compressed = stepper.advance(step)
         if compressed is None:
@@ -164,7 +150,6 @@ class IncrementalMaintainer:
         config: Optional[SummaryConfig] = None,
         text_word_threshold: int = DEFAULT_TEXT_WORD_THRESHOLD,
         max_summary_bytes: Optional[int] = None,
-        value_engine: str = "kernel",
         cache_entries: int = DEFAULT_CACHE_ENTRIES,
     ) -> None:
         self.doc = doc
@@ -178,7 +163,6 @@ class IncrementalMaintainer:
         self.base_config = config if config is not None else SummaryConfig()
         self.text_word_threshold = text_word_threshold
         self.max_summary_bytes = max_summary_bytes
-        self.value_engine = value_engine
         self.cache_entries = cache_entries
         self.stats = MaintainerStats()
 
@@ -257,9 +241,7 @@ class IncrementalMaintainer:
                     centroid, config.vocabulary
                 )
             )
-            return enforce_summary_budget(
-                summary, self.max_summary_bytes, self.value_engine
-            )
+            return enforce_summary_budget(summary, self.max_summary_bytes)
         key = (vtype, tuple(vals))
         cached = self._summary_cache.get(key)
         if cached is not None:
@@ -269,7 +251,6 @@ class IncrementalMaintainer:
         summary = enforce_summary_budget(
             build_summary(vtype, vals, config),
             self.max_summary_bytes,
-            self.value_engine,
         )
         self._cache_put(self._summary_cache, key, summary)
         self.stats.summaries_built += 1

@@ -15,7 +15,9 @@ counts, same float arithmetic — while replacing the scalar hot loops:
 * :mod:`repro.values.kernels.ebth` — vocabulary-id array fusion over
   run cursors and incremental ``tv_cmprs`` demotion chains;
 * :mod:`repro.values.kernels.queue` — the per-node compression steppers
-  the builder's phase-2 priority queue drives.
+  the builder's phase-2 priority queue drives (import them from that
+  module: it depends on :mod:`repro.values.summary`, which imports this
+  package).
 """
 
 from repro.values.kernels.ebth import EBTHCompressionKernel, fuse_ebth
@@ -30,25 +32,12 @@ from repro.values.kernels.pst import (
 )
 
 
-def __getattr__(name):
-    # The stepper layer imports repro.values.summary, which itself uses
-    # the fusion/compression kernels above — loading it lazily keeps this
-    # package importable from summary.py without a cycle (PEP 562).
-    if name in ("SummaryStepper", "make_stepper"):
-        from repro.values.kernels import queue
-
-        return getattr(queue, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "EBTHCompressionKernel",
     "HistogramCompressionKernel",
     "PSTPruneKernel",
-    "SummaryStepper",
     "compress_histogram",
     "fuse_ebth",
     "fuse_psts",
-    "make_stepper",
     "prune_leaves_reference",
 ]

@@ -241,6 +241,17 @@ class TestFailurePaths:
         assert "injected crash" in report.failures[0].message
 
 
+class TestCollectionRounds:
+    def test_mixed_type_path_round_passes(self):
+        """Round seed 3959747254 generates a label path mixing STRING and
+        NUMERIC values; the workload generator used to crash on it."""
+        report = DifferentialHarness(HarnessConfig()).run_collection_round(
+            3959747254
+        )
+        assert report.failures == []
+        assert report.queries_checked > 0
+
+
 class TestEvaluatorRounds:
     def test_evaluator_only_rounds_pass(self):
         config = HarnessConfig(seed=20060402, rounds=BOUNDED_ROUNDS)

@@ -185,8 +185,7 @@ class TestScoringProfileAudit:
             BuildConfig(structural_budget=512, value_budget=2048)
         )
         builder.build(bibliography.tree, bibliography.value_paths)
-        assert builder._engine is not None
-        assert builder._engine.audit_profiles() == []
+        assert builder._scorer.audit_profiles() == []
 
     def test_missed_invalidation_is_reported(self, bibliography_reference):
         from repro.core.scoring import ScoringEngine

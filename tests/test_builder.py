@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.core.builder import BuildConfig, XClusterBuilder
 from repro.core.pool import CandidatePool, build_pool, candidate_pairs
+from repro.core.scoring import ScoringEngine
 from repro.core.sizing import merge_size_saving
 
 
@@ -41,7 +42,7 @@ class TestPool:
     def test_build_pool_scores_candidates(self, reference):
         synopsis = copy.deepcopy(reference)
         levels = synopsis.levels()
-        pool = build_pool(synopsis, 500, 1, levels)
+        pool = build_pool(synopsis, 500, 1, levels, ScoringEngine(synopsis))
         assert len(pool) > 0
         candidate = pool.pop_best()
         assert candidate is not None
@@ -51,13 +52,13 @@ class TestPool:
     def test_pool_capacity_enforced(self, reference):
         synopsis = copy.deepcopy(reference)
         levels = synopsis.levels()
-        pool = build_pool(synopsis, 5, 3, levels)
+        pool = build_pool(synopsis, 5, 3, levels, ScoringEngine(synopsis))
         assert len(pool) <= 5
 
     def test_pop_discards_dead_candidates(self, reference):
         synopsis = copy.deepcopy(reference)
         levels = synopsis.levels()
-        pool = build_pool(synopsis, 500, 1, levels)
+        pool = build_pool(synopsis, 500, 1, levels, ScoringEngine(synopsis))
         first = pool.pop_best()
         merged = synopsis.merge_nodes(first.u_id, first.v_id)
         pool.bump_versions([merged.node_id])
@@ -71,7 +72,7 @@ class TestPool:
 
     def test_rescoring_after_version_bump(self, reference):
         synopsis = copy.deepcopy(reference)
-        pool = CandidatePool(synopsis, 100, 16)
+        pool = CandidatePool(synopsis, 100, ScoringEngine(synopsis, 16))
         groups = {}
         for node in synopsis:
             if node.node_id != synopsis.root_id:

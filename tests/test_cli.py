@@ -126,6 +126,12 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_evaluate_has_no_engine_option(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "x.xml", "//a", "--engine", "treewalk"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_subcommand(self):
         with pytest.raises(SystemExit):
             main([])

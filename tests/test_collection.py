@@ -787,6 +787,24 @@ class TestCli:
         snapshot = json.loads(capsys.readouterr().out)
         assert snapshot["documents"] == 8
 
+    def test_rebalance_has_no_workers_option(self, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(
+                [
+                    "collection",
+                    "rebalance",
+                    "coll",
+                    "--log",
+                    "log.jsonl",
+                    "--workers",
+                    "2",
+                ]
+            )
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_check_collection_flag_runs_green(self, capsys):
         from repro.__main__ import main
 

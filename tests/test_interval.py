@@ -11,8 +11,6 @@ the deep-document regression for the oracle's iterative walk.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.check.diffharness import DocumentConfig, DocumentGenerator
 from repro.datasets import generate_xmark
 from repro.datasets.dataset import Dataset
@@ -23,10 +21,10 @@ from repro.query.evaluator import (
     TreeWalkEvaluator,
     evaluate_selectivity,
 )
-from repro.query.interval import IntervalEvaluator, evaluate_columnar
+from repro.query.interval import IntervalEvaluator
 from repro.workload.generator import generate_workload
 from repro.xmltree import parse_string
-from repro.xmltree.columnar import freeze, ingest_string
+from repro.xmltree.columnar import freeze, ingest_string, thaw
 from repro.xmltree.tree import XMLElement, XMLTree
 
 XML = (
@@ -262,37 +260,28 @@ class TestDispatch:
         query = parse_twig("//b//c")
         assert ExactEvaluator(doc).selectivity(query) == 1
         assert evaluate_selectivity(doc, query) == 1
-        assert evaluate_columnar(doc, query) == 1
 
     def test_treewalk_engine_accepts_columnar_documents(self):
         doc = ingest_string(XML)
         query = parse_twig("//b")
-        assert ExactEvaluator(doc, engine="treewalk").selectivity(query) == 2
+        assert TreeWalkEvaluator(thaw(doc)).selectivity(query) == 2
 
     def test_interval_engine_accepts_trees(self):
         tree = parse_string(XML)
         query = parse_twig("//b")
-        evaluator = ExactEvaluator(tree)  # interval is the default
-        assert evaluator.engine == "interval"
-        assert evaluator.selectivity(query) == 2
-
-    def test_unknown_engine_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown evaluation engine"):
-            ExactEvaluator(parse_string(XML), engine="quantum")
+        assert ExactEvaluator(tree).selectivity(query) == 2
 
     def test_tree_property_materializes_from_columns(self):
         doc = ingest_string(XML)
         evaluator = ExactEvaluator(doc)
-        assert evaluator.tree.root.label == "a"
+        assert thaw(evaluator.doc).root.label == "a"
 
     def test_matches_agrees_across_engines(self):
         tree = parse_string(XML)
         for text in ("//b", "//nosuchlabel"):
             query = parse_twig(text)
-            assert (
-                ExactEvaluator(tree, engine="interval").matches(query)
-                == ExactEvaluator(tree, engine="treewalk").matches(query)
-            )
+            oracle = TreeWalkEvaluator(tree).matches(query)
+            assert ExactEvaluator(tree).matches(query) == oracle
 
 
 class TestDeepDocuments:

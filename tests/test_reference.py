@@ -1,12 +1,8 @@
-"""Unit tests for reference / path / tag synopsis construction."""
+"""Unit tests for reference / tag synopsis construction."""
 
 import pytest
 
-from repro.core.reference import (
-    build_path_synopsis,
-    build_reference_synopsis,
-    build_tag_synopsis,
-)
+from repro.core.reference import build_reference_synopsis, build_tag_synopsis
 from repro.xmltree import parse_string
 from repro.xmltree.types import ValueType
 
@@ -99,27 +95,15 @@ class TestTagSynopsis:
         assert tag.total_element_count() == imdb_small.element_count
         tag.validate()
 
+    def test_null_typed_nodes_have_no_summary(self, imdb_small):
+        synopsis = build_tag_synopsis(imdb_small.tree, imdb_small.value_paths)
+        for node in synopsis:
+            if node.value_type is ValueType.NULL:
+                assert node.vsumm is None
+
     def test_average_edge_counts(self):
         synopsis = build_tag_synopsis(two_shape_tree())
         p_cluster = synopsis.nodes_by_label("p")[0]
         x_cluster = synopsis.nodes_by_label("x")[0]
         # 6 x-children over 4 p elements.
         assert p_cluster.children[x_cluster.node_id] == pytest.approx(1.5)
-
-
-class TestPathSynopsis:
-    def test_granularity_between_tag_and_reference(self, imdb_small, imdb_reference):
-        path = build_path_synopsis(imdb_small.tree, imdb_small.value_paths)
-        tag = build_tag_synopsis(imdb_small.tree, imdb_small.value_paths)
-        assert len(tag) <= len(path) <= len(imdb_reference)
-
-    def test_path_clusters(self):
-        synopsis = build_path_synopsis(two_shape_tree())
-        # p appears on two distinct paths: (r, p) and (r, q, p).
-        assert len(synopsis.nodes_by_label("p")) == 2
-
-    def test_null_typed_nodes_have_no_summary(self, imdb_small):
-        synopsis = build_path_synopsis(imdb_small.tree, imdb_small.value_paths)
-        for node in synopsis:
-            if node.value_type is ValueType.NULL:
-                assert node.vsumm is None

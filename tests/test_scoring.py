@@ -1,9 +1,10 @@
 """Tests for the vectorized candidate-scoring engine.
 
 The contract under test: the profile-backed :class:`ScoringEngine` is a
-drop-in numerical replacement for the scalar Δ implementations in
-:mod:`repro.core.distance` (parity to float rounding), and parallel pool
-construction changes no merge decisions.
+drop-in numerical replacement for the scalar Δ oracle
+(:class:`repro.check.oracles.ScalarScorer` over :mod:`repro.core.distance`,
+parity to float rounding), and an oracle-scored build makes the same
+merge decisions as the production build.
 """
 
 import random
@@ -11,10 +12,10 @@ import string
 
 import pytest
 
+from repro.check.oracles import ReferenceBuilder, ScalarScorer
 from repro.core import build_reference_synopsis, build_xcluster
 from repro.core.builder import BuildConfig, XClusterBuilder
-from repro.core.distance import compression_delta, merge_delta
-from repro.core.pool import CandidatePool, build_pool
+from repro.core.pool import CandidatePool
 from repro.core.scoring import ScoringEngine
 from repro.core.sizing import structural_size_bytes, value_size_bytes
 from repro.core.synopsis import XClusterSynopsis
@@ -79,11 +80,11 @@ class TestMergeDeltaParity:
         for trial in range(12):
             synopsis, members = make_random_synopsis(rng, value_type)
             engine = ScoringEngine(synopsis, predicate_limit=24, cache={})
-            scalar_cache = {}
+            oracle = ScalarScorer(synopsis, predicate_limit=24)
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     u, v = members[i], members[j]
-                    expected = merge_delta(synopsis, u, v, 24, scalar_cache)
+                    expected = oracle.merge_delta(u, v)
                     got = engine.merge_delta(u, v)
                     assert got == pytest.approx(expected, **TOLERANCE)
 
@@ -104,7 +105,7 @@ class TestMergeDeltaParity:
         synopsis.add_edge(root, u, 1.0)
         synopsis.add_edge(root, v, 1.0)
         engine = ScoringEngine(synopsis, predicate_limit=16)
-        expected = merge_delta(synopsis, u, v, 16, {})
+        expected = ScalarScorer(synopsis, predicate_limit=16).merge_delta(u, v)
         assert engine.merge_delta(u, v) == pytest.approx(expected, **TOLERANCE)
         assert expected > 0.0
 
@@ -114,7 +115,7 @@ class TestMergeDeltaParity:
             imdb_small.tree, imdb_small.value_paths
         )
         engine = ScoringEngine(synopsis, predicate_limit=32)
-        scalar_cache = {}
+        oracle = ScalarScorer(synopsis, predicate_limit=32)
         groups = {}
         for node in synopsis:
             if node.node_id != synopsis.root_id:
@@ -124,7 +125,7 @@ class TestMergeDeltaParity:
             for i in range(len(members)):
                 for j in range(i + 1, len(members)):
                     u, v = members[i], members[j]
-                    expected = merge_delta(synopsis, u, v, 32, scalar_cache)
+                    expected = oracle.merge_delta(u, v)
                     assert engine.merge_delta(u, v) == pytest.approx(
                         expected, **TOLERANCE
                     )
@@ -141,13 +142,14 @@ class TestCompressionDeltaParity:
         for trial in range(10):
             synopsis, members = make_random_synopsis(rng, value_type)
             engine = ScoringEngine(synopsis, predicate_limit=24, cache={})
+            oracle = ScalarScorer(synopsis, predicate_limit=24)
             for node in members:
                 if node.vsumm is None or not node.vsumm.can_compress:
                     continue
                 compressed = node.vsumm.compress(2)
                 if compressed is None:
                     continue
-                expected = compression_delta(node, compressed, 24, {})
+                expected = oracle.compression_delta(node, compressed)
                 got = engine.compression_delta(node, compressed)
                 assert got == pytest.approx(expected, **TOLERANCE)
 
@@ -209,7 +211,7 @@ class TestProfiles:
         rng = random.Random(4)
         synopsis, members = make_random_synopsis(rng, ValueType.NUMERIC)
         engine = ScoringEngine(synopsis, predicate_limit=16)
-        pool = CandidatePool(synopsis, 100, 16, engine=engine)
+        pool = CandidatePool(synopsis, 100, engine)
         node = members[0]
         engine.profile_for(node)
         assert node.node_id in engine.profiles
@@ -222,7 +224,9 @@ class TestPoolCapacityPolicy:
         synopsis = XClusterSynopsis()
         root = synopsis.add_node("r", ValueType.NULL, 1)
         synopsis.set_root(root)
-        pool = CandidatePool(synopsis, max_size, 16, slack=1.5)
+        pool = CandidatePool(
+            synopsis, max_size, ScoringEngine(synopsis), slack=1.5
+        )
         for index in range(count):
             pool.add_scored(index * 2, index * 2 + 1, float(index), 1)
         return pool
@@ -268,7 +272,7 @@ class TestBuilderIntegration:
         assert config.value_budget == original_value
 
     def test_scalar_and_vectorized_builds_agree(self, imdb_small):
-        def build(scoring):
+        def build(builder_class, **oracles):
             synopsis = build_reference_synopsis(
                 imdb_small.tree, imdb_small.value_paths
             )
@@ -277,23 +281,20 @@ class TestBuilderIntegration:
                 value_budget=value_size_bytes(synopsis) // 2,
                 pool_max=2000,
                 pool_min=1000,
-                scoring=scoring,
             )
-            builder = XClusterBuilder(config)
+            builder = builder_class(config, **oracles)
             builder.compress(synopsis)
             return builder.stats, synopsis
 
-        scalar_stats, scalar_synopsis = build("scalar")
-        vector_stats, vector_synopsis = build("vectorized")
+        scalar_stats, scalar_synopsis = build(
+            ReferenceBuilder, reference_values=False
+        )
+        vector_stats, vector_synopsis = build(XClusterBuilder)
         assert vector_stats.merges_applied == scalar_stats.merges_applied
         assert len(vector_synopsis) == len(scalar_synopsis)
         assert structural_size_bytes(vector_synopsis) == structural_size_bytes(
             scalar_synopsis
         )
-
-    def test_unknown_scoring_mode_rejected(self):
-        with pytest.raises(ValueError):
-            XClusterBuilder(BuildConfig(scoring="quantum"))
 
     def test_build_stats_profiling_counters(self, imdb_small):
         synopsis = build_reference_synopsis(

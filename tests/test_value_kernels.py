@@ -2,9 +2,11 @@
 
 Every kernel in :mod:`repro.values.kernels` must reproduce its scalar
 reference *exactly* — same prune/merge/demotion decisions, same counts,
-same float arithmetic — since the builder treats the two engines as
-interchangeable.  These tests pin that equivalence with fixed regression
-cases, hypothesis-generated inputs, and an end-to-end two-engine build.
+same float arithmetic — and the builder's kernel steppers must replay
+the reference steppers of :mod:`repro.check.oracles` step for step.
+These tests pin that equivalence with fixed regression cases,
+hypothesis-generated inputs, and an end-to-end oracle-vs-production
+build.
 """
 
 import random
@@ -12,6 +14,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.check.oracles import ReferenceBuilder, make_reference_stepper
 from repro.core.builder import BuildConfig, XClusterBuilder
 from repro.core.reference import build_reference_synopsis
 from repro.core.sizing import (
@@ -291,8 +294,8 @@ class TestSteppers:
 
     def test_kernel_and_reference_chains_agree(self):
         for summary in self.summaries():
-            kernel = make_stepper(summary, "kernel")
-            reference = make_stepper(summary, "reference")
+            kernel = make_stepper(summary)
+            reference = make_reference_stepper(summary)
             for _ in range(6):
                 advanced_k = kernel.advance(2)
                 advanced_r = reference.advance(2)
@@ -302,10 +305,6 @@ class TestSteppers:
                 assert advanced_k.size_bytes() == advanced_r.size_bytes()
                 assert kernel.expected is advanced_k
                 assert reference.expected is advanced_r
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError):
-            make_stepper(self.summaries()[0], "quantum")
 
 
 # -- heap-selected rankings ----------------------------------------------------
@@ -334,22 +333,21 @@ class TestHeapSelections:
 
 
 class TestBuilderEngineParity:
-    def build(self, dataset, engine):
+    def build(self, dataset, builder_class, **oracles):
         synopsis = build_reference_synopsis(dataset.tree, dataset.value_paths)
         config = BuildConfig(
             structural_budget=structural_size_bytes(synopsis),  # phase 2 only
             value_budget=value_size_bytes(synopsis) // 3,
-            value_engine=engine,
         )
-        builder = XClusterBuilder(config)
+        builder = builder_class(config, **oracles)
         builder.compress(synopsis)
         return builder.stats, synopsis
 
     def test_engines_apply_identical_value_steps(self, imdb_small):
-        kernel_stats, kernel_synopsis = self.build(imdb_small, "kernel")
-        reference_stats, reference_synopsis = self.build(imdb_small, "reference")
-        assert kernel_stats.value_engine_used == "kernel"
-        assert reference_stats.value_engine_used == "reference"
+        kernel_stats, kernel_synopsis = self.build(imdb_small, XClusterBuilder)
+        reference_stats, reference_synopsis = self.build(
+            imdb_small, ReferenceBuilder, scalar_scoring=False
+        )
         assert (
             kernel_stats.value_steps_applied == reference_stats.value_steps_applied
         )
@@ -369,12 +367,8 @@ class TestBuilderEngineParity:
             reference_synopsis
         )
 
-    def test_unknown_value_engine_rejected(self):
-        with pytest.raises(ValueError):
-            XClusterBuilder(BuildConfig(value_engine="quantum"))
-
     def test_phase_timers_populate(self, imdb_small):
-        stats, _ = self.build(imdb_small, "kernel")
+        stats, _ = self.build(imdb_small, XClusterBuilder)
         if stats.value_steps_applied:
             compression_seconds = (
                 stats.hist_cmprs_seconds

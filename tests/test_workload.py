@@ -41,6 +41,26 @@ class TestGenerator:
                 == workload_query.exact
             )
 
+    def test_mixed_type_path_gets_one_pool_per_type(self):
+        """A label path whose elements mix STRING and NUMERIC values
+        (first element a string) must not feed ints to the PST."""
+        from repro.datasets.dataset import Dataset
+        from repro.xmltree import parse_string
+
+        tree = parse_string(
+            "<r><v>word</v><v>12</v><v>wordy</v><v>7</v></r>"
+        )
+        dataset = Dataset("mixed", tree, tree.value_paths())
+        generator = TwigWorkloadGenerator(
+            dataset, seed=3, config=WorkloadConfig(queries_per_class=2)
+        )
+        assert sorted(
+            (path, value_type.name) for path, value_type in generator._pools
+        ) == [(("r", "v"), "NUMERIC"), (("r", "v"), "STRING")]
+        workload = generator.generate()
+        assert workload.by_class(QueryClass.STRING)
+        assert workload.by_class(QueryClass.NUMERIC)
+
     def test_predicate_types_match_class(self, imdb_workload):
         from repro.query.predicates import (
             KeywordPredicate,
